@@ -53,6 +53,7 @@ from .intersection import (
     intersection_dim,
     intersection_matrix,
     is_intersection_preserving,
+    isomorphic,
     parse_bijection,
     parse_matrix,
     serialize_bijection,
@@ -98,6 +99,7 @@ __all__ = [
     "intersection_dim",
     "intersection_matrix",
     "is_intersection_preserving",
+    "isomorphic",
     "moebius5",
     "moebius6",
     "ncycle_matrix",

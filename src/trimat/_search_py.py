@@ -1,20 +1,67 @@
-"""Pure-Python backtracking kernel for matrix-preserving bijections.
+"""Backtracking kernel for matrix-preserving bijections.
 
-Reference implementation of the search also provided by the compiled
-``trimat._search_c`` extension.  Both must produce byte-identical output:
-all index bijections g with m2[g[i]][g[j]] == m1[i][j] for every i, j,
-emitted in lexicographic order of the image sequence.
+Yields every index bijection g with m2[g[i]][g[j]] == m1[i][j] for every
+i, j, in lexicographic order of the image sequence.
 
 Rows are assigned in index order and candidate images are tried in
 ascending order, which yields the lexicographic output order directly.
 The caller supplies the row-compatibility table (same entry multisets);
 the kernel itself only enforces pairwise consistency with already placed
-rows.
+rows.  The search keeps its own stack, so its depth is not bounded by the
+interpreter's recursion limit, and it is a generator, so a caller that
+needs only some of the bijections stops the search where it stops reading.
 """
 
 from __future__ import annotations
 
-__all__ = ["search_bijections"]
+from itertools import islice
+from typing import Iterator
+
+__all__ = ["iter_bijections", "search_bijections"]
+
+
+def iter_bijections(
+    m1: tuple[tuple[int, ...], ...],
+    m2: tuple[tuple[int, ...], ...],
+    allowed: tuple[tuple[bool, ...], ...],
+) -> Iterator[tuple[int, ...]]:
+    n = len(m1)
+    if n != len(m2):
+        return
+    if n == 0:
+        yield ()
+        return
+    candidates = [[j for j in range(n) if ok_row[j]] for ok_row in allowed]
+    image = [0] * n
+    used = [False] * n
+    # pending[d]: the images row d has not tried yet.  Resuming a for loop
+    # over this iterator continues the scan where it stopped.
+    pending = [iter(())] * n
+    pending[0] = iter(candidates[0])
+    depth = 0
+    while depth >= 0:
+        row = m1[depth]
+        for j in pending[depth]:
+            if used[j]:
+                continue
+            col_j = m2[j]
+            for i in range(depth):
+                if col_j[image[i]] != row[i]:
+                    break
+            else:
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                used[image[depth]] = False
+            continue
+        image[depth] = j
+        if depth + 1 == n:
+            yield tuple(image)
+            continue
+        used[j] = True
+        depth += 1
+        pending[depth] = iter(candidates[depth])
 
 
 def search_bijections(
@@ -23,36 +70,7 @@ def search_bijections(
     allowed: tuple[tuple[bool, ...], ...],
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
-    n = len(m1)
-    if n != len(m2):
-        return []
+    """All bijections, or the first ``limit`` of them, as a list."""
     if limit is not None and limit <= 0:
         return []
-    out: list[tuple[int, ...]] = []
-    image = [0] * n
-    used = [False] * n
-
-    def place(depth: int) -> bool:
-        # Returns True when the limit has been reached.
-        if depth == n:
-            out.append(tuple(image))
-            return limit is not None and len(out) >= limit
-        row = m1[depth]
-        ok_row = allowed[depth]
-        for j in range(n):
-            if used[j] or not ok_row[j]:
-                continue
-            col_j = m2[j]
-            for i in range(depth):
-                if col_j[image[i]] != row[i]:
-                    break
-            else:
-                used[j] = True
-                image[depth] = j
-                if place(depth + 1):
-                    return True
-                used[j] = False
-        return False
-
-    place(0)
-    return out
+    return list(islice(iter_bijections(m1, m2, allowed), limit))

@@ -211,9 +211,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-#: Alias for callers that prefer run(argv) over main(argv).
-run = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -10,7 +10,9 @@ A triangle bijection between two complexes of equal size preserves
 intersections when it preserves every matrix entry.  Such a bijection may
 or may not be induced by a vertex map; ``extend_to_simplicial`` decides
 this by intersecting the images of each vertex star, and reports the
-vertex map when one exists.
+vertex map when one exists.  ``isomorphic`` decides whether two surfaces
+are simplicially isomorphic by walking the preserving bijections lazily
+until one extends.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
 
-from . import kernels
+from ._search_py import iter_bijections, search_bijections
 from .complexes import Triangle, Triangulation, validate_closed_surface
 from .errors import MappingError, ParseError, SurfaceError
 
@@ -38,6 +40,7 @@ __all__ = [
     "is_intersection_preserving",
     "find_intersection_preserving_bijections",
     "extend_to_simplicial",
+    "isomorphic",
     "parse_matrix",
     "serialize_matrix",
     "parse_bijection",
@@ -177,11 +180,12 @@ def is_intersection_preserving(
 
 
 def _compatibility(m1: IntersectionMatrix, m2: IntersectionMatrix) -> tuple[tuple[bool, ...], ...]:
-    sig2 = [m2.row_signature(j) for j in range(m2.n)]
-    return tuple(
-        tuple(m1.row_signature(i) == sig2[j] for j in range(m2.n))
-        for i in range(m1.n)
-    )
+    # Each distinct row signature is sorted once and named by a small int,
+    # so the n x n table compares ints instead of re-sorting rows.
+    ids: dict[tuple[int, ...], int] = {}
+    sig1 = [ids.setdefault(m1.row_signature(i), len(ids)) for i in range(m1.n)]
+    sig2 = [ids.setdefault(m2.row_signature(j), len(ids)) for j in range(m2.n)]
+    return tuple(tuple(s == t for t in sig2) for s in sig1)
 
 
 def find_intersection_preserving_bijections(
@@ -199,7 +203,7 @@ def find_intersection_preserving_bijections(
     """
     if M.n != M2.n:
         return []
-    images = kernels.search_bijections(
+    images = search_bijections(
         M.entries, M2.entries, _compatibility(M, M2), limit
     )
     return [TriangleBijection(img) for img in images]
@@ -240,17 +244,47 @@ def extend_to_simplicial(
     Raises MappingError if f is not intersection preserving and
     SurfaceError if either complex is not a connected closed surface.
     """
-    for name, complex_ in (("first", K), ("second", K2)):
-        report = validate_closed_surface(complex_)
-        if not report.is_closed_surface:
-            raise SurfaceError(
-                f"the {name} complex is not a connected closed surface "
-                f"(connected={report.connected}, closed={report.closed}, "
-                f"links_ok={report.links_ok})"
-            )
+    _require_closed_surface(K, "first")
+    _require_closed_surface(K2, "second")
     if not is_intersection_preserving(K, K2, f):
         raise MappingError("bijection is not intersection preserving")
+    return _extend(K, K2, f)
 
+
+def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
+    """Whether two connected closed surfaces are simplicially isomorphic.
+
+    Every simplicial isomorphism induces an intersection-preserving
+    triangle bijection, so it is enough to find one preserving bijection
+    that extends.  They are walked lazily in lexicographic order and the
+    walk stops at the first that extends; each complex is validated once.
+
+    Raises SurfaceError if either complex is not a connected closed surface.
+    """
+    _require_closed_surface(K, "first")
+    _require_closed_surface(K2, "second")
+    if K.n != K2.n:
+        return False
+    M, M2 = intersection_matrix(K), intersection_matrix(K2)
+    for image in iter_bijections(M.entries, M2.entries, _compatibility(M, M2)):
+        if isinstance(_extend(K, K2, TriangleBijection(image)), Extended):
+            return True
+    return False
+
+
+def _require_closed_surface(K: Triangulation, name: str) -> None:
+    report = validate_closed_surface(K)
+    if not report.is_closed_surface:
+        raise SurfaceError(
+            f"the {name} complex is not a connected closed surface "
+            f"(connected={report.connected}, closed={report.closed}, "
+            f"links_ok={report.links_ok})"
+        )
+
+
+def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> ExtensionResult:
+    """The vertex-map construction of ``extend_to_simplicial``, for callers
+    that have validated both complexes and hold a preserving f."""
     vertex_map: dict[str, str] = {}
     failures: list[str] = []
     for x in K.vertices():

@@ -8,6 +8,17 @@ the moment any pair exceeds its prescribed count, and accepts a candidate
 when the induced complex is a connected closed surface that reproduces M
 exactly.
 
+The pairs are settled in an order taken from the dual graph, whose edges
+are the entry-1 pairs; on a closed surface it is 3-regular and connected.
+Triangles are reached in BFS order over it, and each newly reached
+triangle is paired with every earlier one, edge pairs before vertex pairs.
+A new triangle is thus glued along an edge to the surface built so far,
+as in Weinberg's propagation for planar graph isomorphism, so the cost
+does not depend on the index order of the input.  Disjoint pairs are never
+visited: the pruning alone keeps them apart.  The backtracking keeps an
+explicit stack with one frame per pair that needed merges, so its depth is
+not bounded by the interpreter's recursion limit.
+
 Symmetry is broken two ways so the search terminates at desk scale:
 slots that were never merged are interchangeable within their triangle,
 so only the lowest-numbered one is ever offered, and merges always keep
@@ -31,11 +42,10 @@ from . import catalog
 from .complexes import Triangle, Triangulation, validate_closed_surface
 from .errors import BudgetExceededError, PatternError, ReconstructionError
 from .intersection import (
-    Extended,
     IntersectionMatrix,
-    extend_to_simplicial,
     find_intersection_preserving_bijections,
     intersection_matrix,
+    isomorphic,
 )
 
 __all__ = [
@@ -230,41 +240,90 @@ class _SlotSearch:
 
     # -- main search ----------------------------------------------------------
 
-    def run(self, stop_after_first: bool) -> list[Triangulation]:
-        pairs = [
-            (i, j) for i in range(self.n) for j in range(i + 1, self.n)
-        ]
+    def _pair_order(self) -> list[tuple[int, int]] | None:
+        """Matrix pairs in the order the search settles them.
 
-        def solve(pidx: int) -> bool:
-            if pidx == len(pairs):
+        Triangles are taken in BFS order over the entry-1 (dual) graph,
+        and each newly reached triangle is paired with every earlier one:
+        edge pairs first, then vertex pairs.  So every new triangle is
+        glued along an edge to one already placed, and the pruning bites
+        whatever the index order of the input.  Disjoint pairs need no
+        merge; ``_union`` rejects any merge that would make them meet.
+        Returns None when the matrix is empty or its dual graph is
+        disconnected: no connected closed surface has either.
+        """
+        if self.n == 0:
+            return None
+        want = self.want
+        order = [0]
+        seen = [False] * self.n
+        seen[0] = True
+        for u in order:
+            for v, value in enumerate(want[u]):
+                if value == 1 and not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+        if len(order) != self.n:
+            return None
+        pairs = []
+        for k, v in enumerate(order):
+            earlier = order[:k]
+            pairs += [(u, v) for u in earlier if want[u][v] == 1]
+            pairs += [(u, v) for u in earlier if want[u][v] == 0]
+        return pairs
+
+    def _apply(self, plan) -> list | None:
+        """Undo tokens for the merges of ``plan``, or None (with nothing
+        left merged) when one of them is rejected."""
+        tokens = []
+        for a, b in plan:
+            token = self._union(a, b)
+            if token is None:
+                for done in reversed(tokens):
+                    self._undo(done)
+                return None
+            tokens.append(token)
+        return tokens
+
+    def run(self, stop_after_first: bool) -> list[Triangulation]:
+        pairs = self._pair_order()
+        if pairs is None:
+            return self.solutions
+        # One frame per pair that needed merges: [pair index, remaining
+        # plans, undo tokens of the plan in force].
+        stack: list[list] = []
+        pidx = 0
+        while True:
+            while pidx < len(pairs):
+                i, j = pairs[pidx]
+                t = self.target[i][j] - self.shared[i][j]
+                if t:
+                    stack.append([pidx, iter(self._plans(i, j, t)), []])
+                    break
+                pidx += 1
+            else:
                 candidate = self._build()
                 if candidate is not None:
                     self.solutions.append(candidate)
-                    return stop_after_first
-                return False
-            i, j = pairs[pidx]
-            t = self.target[i][j] - self.shared[i][j]
-            if t < 0:
-                return False
-            if t == 0:
-                return solve(pidx + 1)
-            for plan in self._plans(i, j, t):
-                tokens = []
-                failed = False
-                for a, b in plan:
-                    token = self._union(a, b)
-                    if token is None:
-                        failed = True
-                        break
-                    tokens.append(token)
-                if not failed and solve(pidx + 1):
-                    return True
-                for token in reversed(tokens):
+                    if stop_after_first:
+                        return self.solutions
+            # Move the deepest frame that still has a plan to its next one.
+            while stack:
+                frame = stack[-1]
+                for token in reversed(frame[2]):
                     self._undo(token)
-            return False
-
-        solve(0)
-        return self.solutions
+                for plan in frame[1]:
+                    tokens = self._apply(plan)
+                    if tokens is not None:
+                        frame[2] = tokens
+                        pidx = frame[0] + 1
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
+                return self.solutions
 
     def _build(self) -> Triangulation | None:
         label_of: dict[int, str] = {}
@@ -288,17 +347,6 @@ class _SlotSearch:
         if intersection_matrix(K).entries != self.want:
             return None
         return K
-
-
-def _isomorphic(first: Triangulation, other: Triangulation) -> bool:
-    """Whether some intersection-preserving bijection between the two
-    complexes extends to a simplicial isomorphism."""
-    m1 = intersection_matrix(first)
-    m2 = intersection_matrix(other)
-    for g in find_intersection_preserving_bijections(m1, m2):
-        if isinstance(extend_to_simplicial(first, other, g), Extended):
-            return True
-    return False
 
 
 def reconstruct(
@@ -331,7 +379,7 @@ def reconstruct(
     first = solutions[0]
     all_iso: bool | None = None
     if find_all_solutions:
-        all_iso = all(_isomorphic(first, other) for other in solutions[1:])
+        all_iso = all(isomorphic(first, other) for other in solutions[1:])
     return ReconstructionResult(
         complex=first,
         ambiguity=detect_exceptional(M),

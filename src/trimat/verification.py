@@ -30,6 +30,7 @@ from .intersection import (
     extend_to_simplicial,
     find_intersection_preserving_bijections,
     intersection_matrix,
+    isomorphic,
 )
 from .reconstruct import detect_exceptional, reconstruct
 
@@ -158,14 +159,6 @@ def _check_cycle_trichotomy(max_n: int = 8) -> tuple[bool, str]:
     )
 
 
-def _extendable_bijection_exists(K: Triangulation, K2: Triangulation) -> bool:
-    m1, m2 = intersection_matrix(K), intersection_matrix(K2)
-    for g in find_intersection_preserving_bijections(m1, m2):
-        if isinstance(extend_to_simplicial(K, K2, g), Extended):
-            return True
-    return False
-
-
 def _check_round_trip() -> tuple[bool, str]:
     for name, K in corpus():
         M = intersection_matrix(K)
@@ -174,7 +167,7 @@ def _check_round_trip() -> tuple[bool, str]:
             return False, f"{name}: reconstruction does not reproduce the matrix"
         if not result.all_solutions_isomorphic:
             return False, f"{name}: reconstruction solutions are not all isomorphic"
-        if not _extendable_bijection_exists(K, result.complex):
+        if not isomorphic(K, result.complex):
             return False, f"{name}: no extendable bijection onto the reconstruction"
     return True, (
         "every corpus matrix reconstructs to an isomorphic complex and all "
@@ -288,7 +281,7 @@ def _check_matrix_invariants(trials: int = 100) -> tuple[bool, str]:
                 f"{name} permuted (trial {trial}): ambiguity {result.ambiguity} "
                 f"!= {baseline[name].ambiguity}"
             )
-        if not _extendable_bijection_exists(result.complex, baseline[name].complex):
+        if not isomorphic(result.complex, baseline[name].complex):
             return False, (
                 f"{name} permuted (trial {trial}): reconstruction not isomorphic "
                 "to the unpermuted one"

@@ -14,12 +14,14 @@ from trimat import (
     SurfaceError,
     Triangle,
     TriangleBijection,
+    Triangulation,
     disk_fan,
     extend_to_simplicial,
     find_intersection_preserving_bijections,
     intersection_dim,
     intersection_matrix,
     is_intersection_preserving,
+    isomorphic,
     parse_bijection,
     parse_matrix,
     serialize_bijection,
@@ -256,6 +258,52 @@ class TestExtension:
         fan = disk_fan(5)
         with pytest.raises(SurfaceError):
             extend_to_simplicial(fan, fan, TriangleBijection.identity(5))
+
+
+def reindexed_relabelled(K, seed):
+    """K with its triangles in a seeded order and its vertices renamed."""
+    rng = random.Random(seed)
+    order = list(range(K.n))
+    rng.shuffle(order)
+    verts = list(K.vertices())
+    rng.shuffle(verts)
+    names = {v: f"w{k}" for k, v in enumerate(verts)}
+    return Triangulation(
+        Triangle(tuple(names[v] for v in K.triangles[i].vertices)) for i in order
+    )
+
+
+class TestIsomorphic:
+    def test_reindexed_relabelled_copies(self, corpus):
+        for seed, (name, K) in enumerate(corpus):
+            assert isomorphic(K, reindexed_relabelled(K, seed)), name
+
+    def test_different_surfaces(self, tp10, tp12, tetrahedron, octahedron):
+        assert not isomorphic(tp10, tp12)
+        assert not isomorphic(tetrahedron, octahedron)
+
+    def test_same_size_different_matrix(self, octahedron):
+        # The tetrahedron with two faces stellarly subdivided: a sphere with
+        # 6 vertices and 8 triangles, as the octahedron, but with vertices
+        # of degree 3.
+        faces = ("abe", "bce", "ace", "abf", "bdf", "adf", "acd", "bcd")
+        K = Triangulation(Triangle(tuple(f)) for f in faces)
+        assert not isomorphic(K, octahedron)
+
+    def test_first_preserving_bijection_need_not_extend(self, tp10):
+        # In this reindexing the lexicographically first preserving
+        # bijection is one of tp10's 60 non-extendable self-maps, so an
+        # answer taken from the first map alone would be False.
+        K2 = reindexed_relabelled(tp10, 1)
+        M, M2 = intersection_matrix(tp10), intersection_matrix(K2)
+        (first,) = find_intersection_preserving_bijections(M, M2, limit=1)
+        assert isinstance(extend_to_simplicial(tp10, K2, first), NonExtendable)
+        assert isomorphic(tp10, K2)
+
+    def test_rejects_open_complexes(self):
+        fan = disk_fan(5)
+        with pytest.raises(SurfaceError):
+            isomorphic(fan, fan)
 
 
 class TestTextFormats:

@@ -1,16 +1,12 @@
-"""Both search kernels must agree entry-for-entry with each other and with
-a brute-force reference."""
+"""The bijection-search kernel must agree entry-for-entry with a
+brute-force reference."""
 
 import random
 from itertools import permutations
 
-import pytest
-
 from trimat import intersection_matrix, standard
+from trimat._search_py import search_bijections
 from trimat.intersection import _compatibility
-from trimat.kernels import AVAILABLE
-
-BACKENDS = sorted(AVAILABLE)
 
 
 def reference_search(m1, m2, limit=None):
@@ -34,10 +30,8 @@ def random_matrix(n, rng):
     return tuple(tuple(row) for row in entries)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestKernel:
-    def test_matches_reference_on_random_matrices(self, backend):
-        kernel = AVAILABLE[backend]
+    def test_matches_reference_on_random_matrices(self):
         rng = random.Random(2024)
         for trial in range(40):
             n = rng.randint(2, 6)
@@ -57,31 +51,13 @@ class TestKernel:
                 )
                 for i in range(n)
             )
-            got = kernel.search_bijections(m1, m2, allowed, None)
+            got = search_bijections(m1, m2, allowed, None)
             assert got == reference_search(m1, m2), (trial, n)
 
-    def test_limit_prefix(self, backend):
-        kernel = AVAILABLE[backend]
+    def test_limit_prefix(self):
         M = intersection_matrix(standard("octahedron"))
         allowed = _compatibility(M, M)
-        full = kernel.search_bijections(M.entries, M.entries, allowed, None)
+        full = search_bijections(M.entries, M.entries, allowed, None)
         assert len(full) == 48
-        assert kernel.search_bijections(M.entries, M.entries, allowed, 7) == full[:7]
-        assert kernel.search_bijections(M.entries, M.entries, allowed, 0) == []
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-def test_backends_agree_on_corpus():
-    from trimat.catalog import CLOSED_SURFACES
-
-    for name in CLOSED_SURFACES:
-        M = intersection_matrix(standard(name))
-        allowed = _compatibility(M, M)
-        results = {
-            backend: AVAILABLE[backend].search_bijections(
-                M.entries, M.entries, allowed, None
-            )
-            for backend in BACKENDS
-        }
-        first, *rest = results.values()
-        assert all(r == first for r in rest), name
+        assert search_bijections(M.entries, M.entries, allowed, 7) == full[:7]
+        assert search_bijections(M.entries, M.entries, allowed, 0) == []

@@ -6,15 +6,13 @@ import pytest
 
 from trimat import (
     BudgetExceededError,
-    Extended,
     IntersectionMatrix,
     PatternError,
     ReconstructionError,
     TriangleBijection,
     detect_exceptional,
-    extend_to_simplicial,
-    find_intersection_preserving_bijections,
     intersection_matrix,
+    isomorphic,
     moebius5,
     reconstruct,
     validate_closed_surface,
@@ -38,14 +36,6 @@ def unrealizable_6x6():
                 row.append(0)
         rows.append(tuple(row))
     return IntersectionMatrix(tuple(rows))
-
-
-def isomorphic(K1, K2) -> bool:
-    m1, m2 = intersection_matrix(K1), intersection_matrix(K2)
-    return any(
-        isinstance(extend_to_simplicial(K1, K2, g), Extended)
-        for g in find_intersection_preserving_bijections(m1, m2)
-    )
 
 
 class TestReconstruct:

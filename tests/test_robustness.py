@@ -11,12 +11,16 @@ from trimat import (
     IntersectionMatrix,
     ReconstructionError,
     Triangle,
+    TriangleBijection,
     Triangulation,
+    find_intersection_preserving_bijections,
     intersection_matrix,
     reconstruct,
+    serialize_matrix,
     standard,
     validate_closed_surface,
 )
+from trimat.cli import main
 
 
 def subdivide(K: Triangulation) -> Triangulation:
@@ -54,6 +58,48 @@ class TestSubdividedSurfaces:
         first = reconstruct(M, find_all_solutions=False)
         second = reconstruct(M, find_all_solutions=False)
         assert first.complex == second.complex
+
+
+def subdivided(base: str, times: int) -> Triangulation:
+    K = standard(base)
+    for _ in range(times):
+        K = subdivide(K)
+    return K
+
+
+def reindexed(M: IntersectionMatrix, seed: int) -> IntersectionMatrix:
+    perm = list(range(M.n))
+    random.Random(seed).shuffle(perm)
+    return M.permuted(TriangleBijection(tuple(perm)))
+
+
+class TestLargeSurfaces:
+    """Sizes beyond the interpreter's recursion limit for a search that
+    recursed once per matrix pair or per matrix row."""
+
+    @pytest.mark.parametrize("base,n", [("tetrahedron", 64), ("torus7", 224)])
+    def test_reindexed_twice_subdivided_round_trips(self, base, n):
+        M = reindexed(intersection_matrix(subdivided(base, 2)), seed=n)
+        assert M.n == n
+        result = reconstruct(M)
+        assert intersection_matrix(result.complex).entries == M.entries
+        assert result.all_solutions_isomorphic is True
+        assert result.ambiguity is None
+
+    def test_cli_reconstruct_exits_zero(self, capsys, tmp_path):
+        M = reindexed(intersection_matrix(subdivided("tetrahedron", 2)), seed=5)
+        path = tmp_path / "m.imat"
+        path.write_text(serialize_matrix(M))
+        assert main(["reconstruct", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "# all_solutions_isomorphic: true" in out
+
+    def test_first_self_map_is_the_identity(self):
+        M = intersection_matrix(subdivided("tetrahedron", 4))
+        assert M.n == 1024
+        assert find_intersection_preserving_bijections(M, M, limit=1) == [
+            TriangleBijection.identity(M.n)
+        ]
 
 
 def random_three_regular_matrix(n: int, rng: random.Random) -> IntersectionMatrix:
