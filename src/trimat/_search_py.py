@@ -7,7 +7,8 @@ Rows are assigned in index order and candidate images are tried in
 ascending order, which yields the lexicographic output order directly.
 The caller supplies the row-compatibility table (same entry multisets);
 the kernel itself only enforces pairwise consistency with already placed
-rows.  The search keeps its own stack, so its depth is not bounded by the
+rows, checking the rows that meet the current one before the disjoint
+ones.  The search keeps its own stack, so its depth is not bounded by the
 interpreter's recursion limit, and it is a generator, so a caller that
 needs only some of the bijections stops the search where it stops reading.
 """
@@ -32,6 +33,13 @@ def iter_bijections(
         yield ()
         return
     candidates = [[j for j in range(n) if ok_row[j]] for ok_row in allowed]
+    # checks[d]: the earlier rows that row d is checked against, those it
+    # meets (entry >= 0) first.  A wrong image often matches a disjoint
+    # (-1) entry by chance, so the meeting rows reject it sooner.
+    checks = [
+        [i for i in range(d) if m1[d][i] >= 0] + [i for i in range(d) if m1[d][i] < 0]
+        for d in range(n)
+    ]
     image = [0] * n
     used = [False] * n
     # pending[d]: the images row d has not tried yet.  Resuming a for loop
@@ -45,7 +53,7 @@ def iter_bijections(
             if used[j]:
                 continue
             col_j = m2[j]
-            for i in range(depth):
+            for i in checks[depth]:
                 if col_j[image[i]] != row[i]:
                     break
             else:

@@ -162,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--node-cap",
         type=int,
         default=DEFAULT_NODE_CAP,
-        help=f"search node budget (default {DEFAULT_NODE_CAP})",
+        help=f"budget of placed candidate triangles (default {DEFAULT_NODE_CAP})",
     )
     p.set_defaults(func=_cmd_reconstruct)
 

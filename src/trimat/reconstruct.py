@@ -1,31 +1,40 @@
 """Rebuilding a triangulation from its bare intersection matrix.
 
-The input is only the matrix: no vertex labels, no hints.  Each triangle
-owns three anonymous vertex slots; entry M[i,j] dictates how many slot
-classes triangles i and j must share (2 for an edge, 1 for a vertex, 0
-for disjoint).  A backtracking search merges slots pair by pair, pruning
-the moment any pair exceeds its prescribed count, and accepts a candidate
-when the induced complex is a connected closed surface that reproduces M
-exactly.
+The input is only the matrix: no vertex labels, no hints.  Entry M[v][w]
+says how many vertices triangles v and w share, less one (1 for an edge,
+0 for a vertex, -1 for disjoint).  The triangles that share an edge form
+the dual graph, which on a closed surface is 3-regular and connected.
 
-The pairs are settled in an order taken from the dual graph, whose edges
-are the entry-1 pairs; on a closed surface it is 3-regular and connected.
-Triangles are reached in BFS order over it, and each newly reached
-triangle is paired with every earlier one, edge pairs before vertex pairs.
-A new triangle is thus glued along an edge to the surface built so far,
-as in Weinberg's propagation for planar graph isomorphism, so the cost
-does not depend on the index order of the input.  Disjoint pairs are never
-visited: the pruning alone keeps them apart.  The backtracking keeps an
-explicit stack with one frame per pair that needed merges, so its depth is
-not bounded by the interpreter's recursion limit.
+The search grows the surface along a BFS tree of the dual graph, starting
+from row 0, as in Weinberg's propagation for planar graph isomorphism.
+Row 0 becomes the triangle (0, 1, 2).  Every later triangle v shares an
+edge {a, b} with its BFS parent, so it is that edge plus an apex z, and
+the apex rule fixes z.  Take the first placed triangle that still needs
+more shared vertices with v than {a, b} gives it: z is one of its
+vertices.  If no placed triangle needs one, z is the next fresh vertex.
+No other apex can work: a used vertex lies in some placed triangle, which
+would then share too many vertices with v.  A candidate is kept only if
+it shares exactly M[v][w] + 1 vertices with every placed w; the placed
+triangles at each vertex give these counts without a scan over all rows.
+So a wrong guess dies at once, and the cost does not depend on the index
+order of the input.
 
-Symmetry is broken two ways so the search terminates at desk scale:
-slots that were never merged are interchangeable within their triangle,
-so only the lowest-numbered one is ever offered, and merges always keep
-the lowest-numbered slot as class representative.  Every solution surfaced
-is therefore a canonically labelled complex (vertices v0, v1, ... in order
-of first slot appearance), and distinct solutions differ by more than a
-per-triangle slot shuffle.
+Two rules keep each labelled solution from coming out more than once.
+The vertices of the root are interchangeable, so its first child is only
+tried on the edge (0, 1).  Vertices 0 and 1 stay interchangeable until a
+placed triangle holds exactly one of them; until then, a candidate that
+holds 1 without 0 is dropped.  Fresh vertices are numbered in order of
+first use, so every solution is a canonically labelled complex (relabelled
+v0, v1, ... in order of first appearance by triangle index), and two
+solutions differ by more than a renaming of vertices.  By the paper's
+theorem that happens only for the two exceptional matrices below.
+
+One search node is one placed candidate; a solvable matrix of n triangles
+usually needs about n of them.  The backtracking keeps an explicit stack
+of untried candidates per depth, so its depth is not bounded by the
+interpreter's recursion limit.  A completed placement is accepted only when
+it is a closed surface (pairwise counts do not rule out a pinched vertex)
+and reproduces M exactly.
 
 The two matrices whose complexes admit non-extendable self-maps are
 recognized separately: ``detect_exceptional`` compares against the stored
@@ -36,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
 
 from . import catalog
 from .complexes import Triangle, Triangulation, validate_closed_surface
@@ -110,243 +118,129 @@ def _check_preconditions(M: IntersectionMatrix) -> None:
             )
 
 
-class _SlotSearch:
-    """Backtracking unification of triangle vertex slots against target
-    shared-class counts."""
+def _grow(
+    M: IntersectionMatrix, node_cap: int, stop_after_first: bool
+) -> list[Triangulation]:
+    """Every canonically labelled closed surface realizing M, or the first.
 
-    def __init__(self, M: IntersectionMatrix, node_cap: int):
-        self.n = M.n
-        self.node_cap = node_cap
-        self.nodes = 0
-        self.want = M.entries
-        n = self.n
-        self.target = [
-            [M[i, j] + 1 if i != j else 3 for j in range(n)] for i in range(n)
-        ]
-        self.shared = [[0] * n for _ in range(n)]
-        total = 3 * n
-        self.cls_of = list(range(total))
-        self.members: dict[int, list[int]] = {s: [s] for s in range(total)}
-        self.tris_of: dict[int, set[int]] = {s: {s // 3} for s in range(total)}
-        self.solutions: list[Triangulation] = []
+    Vertices are ints while the search runs; see the module docstring for
+    the order, the apex rule and the two symmetry rules.
+    """
+    n = M.n
+    want = M.entries
+    if n == 0:
+        return []
+    order = [0]
+    parent = [-1] * n
+    for u in order:
+        for v, value in enumerate(want[u]):
+            if value == 1 and v and parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    if len(order) != n:
+        return []
+    # meets[k]: the triangles placed before order[k] that share a vertex
+    # with it, in placement order.
+    meets = [[w for w in order[:k] if want[v][w] >= 0] for k, v in enumerate(order)]
+    # tri[v]: the vertices of placed triangle v; the root, row 0, is (0, 1, 2).
+    tri: list[tuple[int, int, int]] = [(0, 1, 2)] * n
+    # at[x]: the placed triangles holding vertex x; len(at) is the next
+    # fresh vertex.
+    at: list[list[int]] = [[0], [0], [0]]
+    # live[k]: vertices 0 and 1 are still interchangeable when order[k]
+    # is placed.
+    live = [True] * (n + 1)
 
-    # -- union with undo ----------------------------------------------------
+    def fits(k: int, t: tuple[int, int, int]) -> bool:
+        """Does t share exactly M[v][w] + 1 vertices with every placed w?"""
+        count: dict[int, int] = {}
+        for x in t:
+            for w in at[x] if x < len(at) else ():
+                count[w] = count.get(w, 0) + 1
+        row = want[order[k]]
+        return len(count) == len(meets[k]) and all(
+            row[w] + 1 == c for w, c in count.items()
+        )
 
-    def _union(self, a_slot: int, b_slot: int):
-        """Merge the classes of two slots; returns an undo token, or None
-        when the merge would put two slots of one triangle in a class or
-        push some pair beyond its target count."""
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise BudgetExceededError(
-                f"reconstruction search exceeded its node budget ({self.node_cap})"
-            )
-        a, b = self.cls_of[a_slot], self.cls_of[b_slot]
-        if a == b:
-            return None
-        keep, gone = (a, b) if a < b else (b, a)
-        tris_keep, tris_gone = self.tris_of[keep], self.tris_of[gone]
-        if tris_keep & tris_gone:
-            return None
-        increments: list[tuple[int, int]] = []
-        ok = True
-        for ta in tris_gone:
-            for tb in tris_keep:
-                self.shared[ta][tb] += 1
-                self.shared[tb][ta] += 1
-                increments.append((ta, tb))
-                if self.shared[ta][tb] > self.target[ta][tb]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            for ta, tb in increments:
-                self.shared[ta][tb] -= 1
-                self.shared[tb][ta] -= 1
-            return None
-        moved = self.members.pop(gone)
-        for s in moved:
-            self.cls_of[s] = keep
-        self.members[keep].extend(moved)
-        frozen_gone = frozenset(tris_gone)
-        tris_keep.update(tris_gone)
-        del self.tris_of[gone]
-        return (keep, gone, moved, frozen_gone, increments)
-
-    def _undo(self, token) -> None:
-        keep, gone, moved, tris_gone, increments = token
-        for ta, tb in increments:
-            self.shared[ta][tb] -= 1
-            self.shared[tb][ta] -= 1
-        kept = self.members[keep]
-        del kept[len(kept) - len(moved) :]
-        self.members[gone] = moved
-        for s in moved:
-            self.cls_of[s] = gone
-        self.tris_of[keep].difference_update(tris_gone)
-        self.tris_of[gone] = set(tris_gone)
-
-    # -- plan enumeration ---------------------------------------------------
-
-    def _free_slots(self, tri: int, partner: int) -> list[int]:
-        """Slots of ``tri`` whose class holds no slot of ``partner``."""
+    def candidates(k: int) -> list[tuple[int, int, int]]:
+        row = want[order[k]]
+        p0, p1, p2 = tri[parent[order[k]]]
         out = []
-        for s in (3 * tri, 3 * tri + 1, 3 * tri + 2):
-            if partner not in self.tris_of[self.cls_of[s]]:
-                out.append(s)
+        for a, b in ((p0, p1),) if k == 1 else ((p0, p1), (p0, p2), (p1, p2)):
+            apexes = [len(at)]
+            for w in meets[k]:
+                t = tri[w]
+                need = row[w] + 1 - (a in t) - (b in t)
+                if need:
+                    apexes = [x for x in t if x not in (a, b)] if need == 1 else []
+                    break
+            for z in apexes:
+                t = (a, b, z)
+                if not (live[k] and 1 in t and 0 not in t) and fits(k, t):
+                    out.append(t)
         return out
 
-    def _encode(self, slot: int):
-        cls = self.cls_of[slot]
-        if len(self.members[cls]) == 1:
-            return ("fresh",)
-        return ("class", cls)
-
-    def _plans(self, i: int, j: int, t: int) -> list[tuple[tuple[int, int], ...]]:
-        """All inequivalent ways to create ``t`` new shared classes between
-        triangles i and j, in lowest-slot-first order.
-
-        Never-merged slots of one triangle are interchangeable, so plans
-        that differ only by which fresh slot they touch are emitted once,
-        using the lowest-numbered slots.
-        """
-        slots_i = self._free_slots(i, j)
-        slots_j = self._free_slots(j, i)
-        if len(slots_i) < t or len(slots_j) < t:
-            return []
-        plans: list[tuple[tuple[int, int], ...]] = []
-        seen = set()
-        if t == 1:
-            for a in slots_i:
-                for b in slots_j:
-                    key = (self._encode(a), self._encode(b))
-                    if key not in seen:
-                        seen.add(key)
-                        plans.append(((a, b),))
-        else:
-            for a1, a2 in combinations(slots_i, 2):
-                for b1, b2 in permutations(slots_j, 2):
-                    plan = ((a1, b1), (a2, b2))
-                    key = tuple(
-                        sorted(
-                            (self._encode(a), self._encode(b)) for a, b in plan
-                        )
+    solutions: list[Triangulation] = []
+    nodes = 0
+    # The explicit stack: pending[k] holds the candidates for order[k]
+    # not tried yet, for every k below the current depth.
+    pending = [iter(())] * n
+    pending[1] = iter(candidates(1))
+    k = 1
+    while k >= 1:
+        if k < n:
+            t = next(pending[k], None)
+            if t is not None:
+                nodes += 1
+                if nodes > node_cap:
+                    raise BudgetExceededError(
+                        f"reconstruction search exceeded its node budget ({node_cap})"
                     )
-                    if key not in seen:
-                        seen.add(key)
-                        plans.append(plan)
-        return plans
-
-    # -- main search ----------------------------------------------------------
-
-    def _pair_order(self) -> list[tuple[int, int]] | None:
-        """Matrix pairs in the order the search settles them.
-
-        Triangles are taken in BFS order over the entry-1 (dual) graph,
-        and each newly reached triangle is paired with every earlier one:
-        edge pairs first, then vertex pairs.  So every new triangle is
-        glued along an edge to one already placed, and the pruning bites
-        whatever the index order of the input.  Disjoint pairs need no
-        merge; ``_union`` rejects any merge that would make them meet.
-        Returns None when the matrix is empty or its dual graph is
-        disconnected: no connected closed surface has either.
-        """
-        if self.n == 0:
-            return None
-        want = self.want
-        order = [0]
-        seen = [False] * self.n
-        seen[0] = True
-        for u in order:
-            for v, value in enumerate(want[u]):
-                if value == 1 and not seen[v]:
-                    seen[v] = True
-                    order.append(v)
-        if len(order) != self.n:
-            return None
-        pairs = []
-        for k, v in enumerate(order):
-            earlier = order[:k]
-            pairs += [(u, v) for u in earlier if want[u][v] == 1]
-            pairs += [(u, v) for u in earlier if want[u][v] == 0]
-        return pairs
-
-    def _apply(self, plan) -> list | None:
-        """Undo tokens for the merges of ``plan``, or None (with nothing
-        left merged) when one of them is rejected."""
-        tokens = []
-        for a, b in plan:
-            token = self._union(a, b)
-            if token is None:
-                for done in reversed(tokens):
-                    self._undo(done)
-                return None
-            tokens.append(token)
-        return tokens
-
-    def run(self, stop_after_first: bool) -> list[Triangulation]:
-        pairs = self._pair_order()
-        if pairs is None:
-            return self.solutions
-        # One frame per pair that needed merges: [pair index, remaining
-        # plans, undo tokens of the plan in force].
-        stack: list[list] = []
-        pidx = 0
-        while True:
-            while pidx < len(pairs):
-                i, j = pairs[pidx]
-                t = self.target[i][j] - self.shared[i][j]
-                if t:
-                    stack.append([pidx, iter(self._plans(i, j, t)), []])
+                tri[order[k]] = t
+                for x in t:
+                    if x == len(at):
+                        at.append([])
+                    at[x].append(order[k])
+                live[k + 1] = live[k] and (0 in t) == (1 in t)
+                k += 1
+                if k < n:
+                    pending[k] = iter(candidates(k))
+                continue
+        else:
+            K = _build(tri, want)
+            if K is not None:
+                solutions.append(K)
+                if stop_after_first:
                     break
-                pidx += 1
-            else:
-                candidate = self._build()
-                if candidate is not None:
-                    self.solutions.append(candidate)
-                    if stop_after_first:
-                        return self.solutions
-            # Move the deepest frame that still has a plan to its next one.
-            while stack:
-                frame = stack[-1]
-                for token in reversed(frame[2]):
-                    self._undo(token)
-                for plan in frame[1]:
-                    tokens = self._apply(plan)
-                    if tokens is not None:
-                        frame[2] = tokens
-                        pidx = frame[0] + 1
-                        break
-                else:
-                    stack.pop()
-                    continue
-                break
-            else:
-                return self.solutions
+        # Take back the triangle placed last.
+        k -= 1
+        if k >= 1:
+            for x in tri[order[k]]:
+                at[x].pop()
+            if not at[-1]:
+                at.pop()
+    return solutions
 
-    def _build(self) -> Triangulation | None:
-        label_of: dict[int, str] = {}
-        for slot in range(3 * self.n):
-            cls = self.cls_of[slot]
-            if cls not in label_of:
-                label_of[cls] = f"v{len(label_of)}"
-        triangles = [
-            Triangle(
-                (
-                    label_of[self.cls_of[3 * i]],
-                    label_of[self.cls_of[3 * i + 1]],
-                    label_of[self.cls_of[3 * i + 2]],
-                )
-            )
-            for i in range(self.n)
-        ]
-        K = Triangulation(triangles)
-        if not validate_closed_surface(K).is_closed_surface:
-            return None
-        if intersection_matrix(K).entries != self.want:
-            return None
-        return K
+
+def _build(
+    tri: list[tuple[int, int, int]], want: tuple[tuple[int, ...], ...]
+) -> Triangulation | None:
+    """The complex with vertices relabelled v0, v1, ... in order of first
+    appearance by triangle index, or None unless it is a closed surface
+    whose matrix is ``want``."""
+    label: dict[int, str] = {}
+    triangles = []
+    for t in tri:
+        for x in t:
+            if x not in label:
+                label[x] = f"v{len(label)}"
+        triangles.append(Triangle(label[x] for x in t))
+    K = Triangulation(triangles)
+    if not validate_closed_surface(K).is_closed_surface:
+        return None
+    if intersection_matrix(K).entries != want:
+        return None
+    return K
 
 
 def reconstruct(
@@ -366,11 +260,11 @@ def reconstruct(
 
     Raises PatternError when M violates the closed-surface row conditions,
     ReconstructionError when no closed surface realizes M, and
-    BudgetExceededError when the search exceeds ``node_cap`` merges.
+    BudgetExceededError when the search places more than ``node_cap``
+    candidate triangles.
     """
     _check_preconditions(M)
-    search = _SlotSearch(M, node_cap)
-    solutions = search.run(stop_after_first=not find_all_solutions)
+    solutions = _grow(M, node_cap, stop_after_first=not find_all_solutions)
     if not solutions:
         raise ReconstructionError(
             f"no triangulation of a connected closed surface has this "

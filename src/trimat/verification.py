@@ -22,7 +22,7 @@ from typing import Callable
 from . import catalog
 from .complexes import Triangulation, validate_closed_surface
 from .cycles import classify_realization, enumerate_realizations, expected_classes
-from .errors import TrichotomyError
+from .errors import PatternError, TrichotomyError
 from .intersection import (
     Extended,
     IntersectionMatrix,
@@ -32,7 +32,7 @@ from .intersection import (
     intersection_matrix,
     isomorphic,
 )
-from .reconstruct import detect_exceptional, reconstruct
+from .reconstruct import _check_preconditions, detect_exceptional, reconstruct
 
 __all__ = [
     "CheckResult",
@@ -244,16 +244,13 @@ def _check_exceptional_detection() -> tuple[bool, str]:
     return True, "canonical and 20 shuffled matrices detected for each of tp10/tp12; no false positives"
 
 
-def _matrix_structurally_sound(M: IntersectionMatrix) -> str | None:
-    n = M.n
-    for i in range(n):
-        if M[i, i] != 2:
-            return f"diagonal entry {i} is {M[i, i]}"
-        if sum(1 for v in M.row(i) if v == 1) != 3:
-            return f"row {i} does not have exactly three 1-entries"
-        for j in range(i + 1, n):
-            if M[i, j] != M[j, i]:
-                return f"asymmetric at ({i},{j})"
+def _row_problem(M: IntersectionMatrix) -> str | None:
+    # Symmetry and the diagonal are enforced by the IntersectionMatrix
+    # type; the three 1s per row are what reconstruct itself requires.
+    try:
+        _check_preconditions(M)
+    except PatternError as exc:
+        return str(exc)
     return None
 
 
@@ -263,7 +260,7 @@ def _check_matrix_invariants(trials: int = 100) -> tuple[bool, str]:
     baseline = {}
     for name, K in members:
         M = intersection_matrix(K)
-        problem = _matrix_structurally_sound(M)
+        problem = _row_problem(M)
         if problem:
             return False, f"{name}: {problem}"
         baseline[name] = reconstruct(M, find_all_solutions=False)
@@ -272,7 +269,7 @@ def _check_matrix_invariants(trials: int = 100) -> tuple[bool, str]:
         M = intersection_matrix(K)
         perm = _random_permutation(M.n, rng)
         permuted = M.permuted(perm)
-        problem = _matrix_structurally_sound(permuted)
+        problem = _row_problem(permuted)
         if problem:
             return False, f"{name} permuted (trial {trial}): {problem}"
         result = reconstruct(permuted, find_all_solutions=False)

@@ -41,3 +41,14 @@ def test_acceptance_criterion(criterion, name):
     assert result.seconds < budget, (
         f"criterion {criterion} took {result.seconds:.1f}s, budget {budget:.0f}s"
     )
+
+
+def test_criterion7_reports_a_bad_row(monkeypatch):
+    # A Moebius band has boundary triangles with fewer than three
+    # edge-neighbours; criterion 7 must fail on it, not raise.
+    from trimat import moebius5, verification
+
+    monkeypatch.setattr(verification, "corpus", lambda: [("moebius5", moebius5())])
+    passed, detail = verification._check_matrix_invariants(trials=1)
+    assert passed is False
+    assert detail.startswith("moebius5: row ")

@@ -81,7 +81,9 @@ class TestLargeSurfaces:
     def test_reindexed_twice_subdivided_round_trips(self, base, n):
         M = reindexed(intersection_matrix(subdivided(base, 2)), seed=n)
         assert M.n == n
-        result = reconstruct(M)
+        # Growth along the dual graph places about one candidate per
+        # triangle, so a budget of 2n is ample.
+        result = reconstruct(M, node_cap=2 * M.n)
         assert intersection_matrix(result.complex).entries == M.entries
         assert result.all_solutions_isomorphic is True
         assert result.ambiguity is None
@@ -145,5 +147,7 @@ class TestAdversarialMatrices:
                 realized += 1
                 got = intersection_matrix(result.complex).entries
                 assert got == M.entries
+                # The paper's theorem: the matrix fixes the surface.
+                assert result.all_solutions_isomorphic is True
         assert realized + rejected == 30
         assert rejected > 0  # most random patterns are not surfaces
