@@ -39,10 +39,13 @@ EXIT_ERROR = 2
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise TrimatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -131,16 +134,15 @@ def _cmd_verify_corpus(_args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "disk_fan":
-        if args.n is None:
-            raise TrimatError("disk_fan needs --n")
-        K = catalog.disk_fan(args.n)
-    else:
-        try:
-            K = catalog.standard(name)
-        except ValueError as exc:
-            raise TrimatError(str(exc)) from None
+    if args.name == "disk_fan" and args.n is None:
+        raise TrimatError("disk_fan needs --n")
+    try:
+        if args.name == "disk_fan":
+            K = catalog.disk_fan(args.n)
+        else:
+            K = catalog.standard(args.name)
+    except ValueError as exc:
+        raise TrimatError(str(exc)) from None
     sys.stdout.write(serialize_triangulation(K))
     return EXIT_OK
 

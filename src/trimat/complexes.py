@@ -320,18 +320,25 @@ def euler_characteristic(K: Triangulation) -> int:
     return len(K.vertices()) - len(K.edges()) + K.n
 
 
+def _require_closed_surface(K: Triangulation, name: str) -> SurfaceReport:
+    """The validation report of K; raises SurfaceError unless K is a
+    connected closed surface.  ``name`` says which input failed."""
+    report = validate_closed_surface(K)
+    if not report.is_closed_surface:
+        raise SurfaceError(
+            f"{name} is not a connected closed surface "
+            f"(connected={report.connected}, closed={report.closed}, "
+            f"links_ok={report.links_ok})"
+        )
+    return report
+
+
 def orientability(K: Triangulation) -> bool:
     """Whether a connected closed surface is orientable.
 
     Raises SurfaceError on anything that is not a connected closed surface.
     """
-    report = validate_closed_surface(K)
-    if not report.is_closed_surface:
-        raise SurfaceError(
-            "orientability is only defined for connected closed surfaces "
-            f"(connected={report.connected}, closed={report.closed}, "
-            f"links_ok={report.links_ok})"
-        )
+    report = _require_closed_surface(K, "the complex")
     assert report.orientable is not None
     return report.orientable
 

@@ -8,19 +8,23 @@ things: a fan of n triangles around a hub vertex (a triangulated disk),
 or one of two exceptional band-shaped realizations that exist solely at
 n = 5 and n = 6.
 
-``classify_realization`` decides the type structurally.
-``enumerate_realizations`` is the independent oracle: it exhaustively
-builds every realization at small n (up to relabeling and the dihedral
-symmetries of the cycle) so the trichotomy can be checked rather than
-assumed.
+``classify_realization`` decides the type: a disk has a vertex common to
+all n triangles, and the two bands are recognized by canonical form, the
+same one the oracle deduplicates with, compared against the catalog's
+``moebius5`` and ``moebius6``.  ``enumerate_realizations`` is the
+oracle: it exhaustively builds every realization at small n (up to
+relabeling and the dihedral symmetries of the cycle) so the trichotomy
+can be checked rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from . import catalog
 from .complexes import Triangle
 from .errors import PatternError, TrichotomyError
 from .intersection import IntersectionMatrix
@@ -131,82 +135,16 @@ def _check_is_realization(triangles: Sequence[Triangle]) -> None:
                 )
 
 
-# -- the two exceptional templates (integer labels 0..4 / 0..5) --------------
-
-_MOEBIUS5_TEMPLATE = (
-    frozenset((0, 2, 1)),
-    frozenset((1, 3, 2)),
-    frozenset((2, 4, 3)),
-    frozenset((3, 0, 4)),
-    frozenset((4, 1, 0)),
-)
-
-_MOEBIUS6_TEMPLATE = (
-    frozenset((0, 1, 2)),
-    frozenset((1, 2, 4)),
-    frozenset((2, 3, 4)),
-    frozenset((3, 0, 4)),
-    frozenset((0, 5, 4)),
-    frozenset((5, 2, 0)),
-)
-
-
-def _matches_template(
-    sets: Sequence[frozenset[str]], template: Sequence[frozenset[int]]
-) -> bool:
-    """Whether ``sets`` equals the template up to relabeling, under some
-    dihedral alignment of the cycle index.
-
-    The label match is a small backtracking search: walk the aligned
-    sequence, extend the injective template-to-input label map triangle by
-    triangle, and branch only over the unmapped labels of each triangle.
-    """
-    n = len(sets)
-
-    def try_alignment(order: Sequence[frozenset[str]]) -> bool:
-        def extend(k: int, fwd: dict[int, str], taken: set[str]) -> bool:
-            if k == n:
-                return True
-            want = order[k]
-            mapped = {fwd[v] for v in template[k] if v in fwd}
-            if not mapped <= want:
-                return False
-            free_tpl = sorted(v for v in template[k] if v not in fwd)
-            free_inp = sorted(want - mapped)
-            if len(free_tpl) != len(free_inp):
-                return False
-            for assignment in permutations(free_inp):
-                if any(lab in taken for lab in assignment):
-                    continue
-                for v, lab in zip(free_tpl, assignment):
-                    fwd[v] = lab
-                    taken.add(lab)
-                if extend(k + 1, fwd, taken):
-                    return True
-                for v, lab in zip(free_tpl, assignment):
-                    del fwd[v]
-                    taken.discard(lab)
-            return False
-
-        return extend(0, {}, set())
-
-    for direction in (1, -1):
-        for offset in range(n):
-            order = [sets[(offset + direction * k) % n] for k in range(n)]
-            if try_alignment(order):
-                return True
-    return False
-
-
 def classify_realization(
     triangles: Sequence[Triangle] | CycleRealization,
 ) -> CycleClass:
     """Classify a cycle realization as Disk(n), Moebius5 or Moebius6.
 
     Disk means all n triangles share a common vertex (the fan hub).  The
-    two Moebius types are recognized by structural match against their
-    templates, invariant under relabeling and under rotation/reflection
-    of the input sequence.
+    two Moebius types are recognized by canonical form: the input is a band
+    when ``_canonical_encoding`` maps it to the encoding of the catalog's
+    ``moebius5`` or ``moebius6``, which is invariant under relabeling and
+    under rotation/reflection of the input sequence.
 
     Raises PatternError when the input does not realize the cycle pattern,
     and TrichotomyError if a realization matches none of the three types —
@@ -224,10 +162,9 @@ def classify_realization(
     common = frozenset.intersection(*sets)
     if common:
         return disk(n)
-    if n == 5 and _matches_template(sets, _MOEBIUS5_TEMPLATE):
-        return MOEBIUS5
-    if n == 6 and _matches_template(sets, _MOEBIUS6_TEMPLATE):
-        return MOEBIUS6
+    band = _band_encodings().get(_canonical_encoding(sets))
+    if band is not None:
+        return band
     raise TrichotomyError(
         f"a {n}-cycle realization matched none of the three known types; "
         "this should be impossible — please report it"
@@ -293,15 +230,19 @@ def enumerate_realizations(
 
     results = []
     for key in sorted(found):
-        tris = tuple(Triangle(tuple(str(v) for v in vs)) for vs in _decode(key))
+        tris = tuple(Triangle(tuple(str(v) for v in vs)) for vs in key)
         realization = CycleRealization(tris)
         results.append((realization, classify_realization(realization)))
     return results
 
 
-def _canonical_encoding(seq: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+def _canonical_encoding(seq: Sequence[frozenset]) -> tuple[tuple[int, ...], ...]:
     """Lexicographically smallest encoding over dihedral alignments and
     relabelings.
+
+    The encoding is itself a relabeled re-alignment of ``seq``, so two
+    sequences get equal encodings exactly when one is a relabeled
+    re-alignment of the other.
 
     For a fixed alignment the smallest relabeling assigns fresh labels in
     first-appearance order; when a triangle introduces several new
@@ -348,5 +289,10 @@ def _canonical_encoding(seq: Sequence[frozenset[int]]) -> tuple[tuple[int, ...],
     return best
 
 
-def _decode(encoding: Iterable[tuple[int, ...]]) -> list[frozenset[int]]:
-    return [frozenset(tri) for tri in encoding]
+@lru_cache(maxsize=None)
+def _band_encodings() -> dict[tuple[tuple[int, ...], ...], CycleClass]:
+    """The canonical encodings of the two catalog bands, with their class."""
+    return {
+        _canonical_encoding([t.vertex_set for t in band().triangles]): cls
+        for band, cls in ((catalog.moebius5, MOEBIUS5), (catalog.moebius6, MOEBIUS6))
+    }

@@ -12,7 +12,9 @@ or may not be induced by a vertex map; ``extend_to_simplicial`` decides
 this by intersecting the images of each vertex star, and reports the
 vertex map when one exists.  ``isomorphic`` decides whether two surfaces
 are simplicially isomorphic by walking the preserving bijections lazily
-until one extends.
+until one extends.  The extension counts of the corpus checks
+(``verification``) share that walk, ``_extensions``, and read it to the
+end; it validates each complex once, not once per map.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -26,8 +28,8 @@ from functools import reduce
 from typing import Iterator
 
 from ._search_py import iter_bijections, search_bijections
-from .complexes import Triangle, Triangulation, validate_closed_surface
-from .errors import MappingError, ParseError, SurfaceError
+from .complexes import Triangle, Triangulation, _require_closed_surface
+from .errors import MappingError, ParseError
 
 __all__ = [
     "IntersectionMatrix",
@@ -244,8 +246,8 @@ def extend_to_simplicial(
     Raises MappingError if f is not intersection preserving and
     SurfaceError if either complex is not a connected closed surface.
     """
-    _require_closed_surface(K, "first")
-    _require_closed_surface(K2, "second")
+    _require_closed_surface(K, "the first complex")
+    _require_closed_surface(K2, "the second complex")
     if not is_intersection_preserving(K, K2, f):
         raise MappingError("bijection is not intersection preserving")
     return _extend(K, K2, f)
@@ -261,25 +263,28 @@ def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
 
     Raises SurfaceError if either complex is not a connected closed surface.
     """
-    _require_closed_surface(K, "first")
-    _require_closed_surface(K2, "second")
+    return any(isinstance(r, Extended) for _, r in _extensions(K, K2))
+
+
+def _extensions(
+    K: Triangulation, K2: Triangulation
+) -> Iterator[tuple[TriangleBijection, ExtensionResult]]:
+    """Every preserving bijection f from K to K2, lazily in lexicographic
+    order, paired with its extension ``_extend(K, K2, f)``.
+
+    Each complex is validated once, before the first map, instead of once
+    per map as ``extend_to_simplicial`` does; the kernel yields only
+    preserving maps, so they are not re-checked either.  Raises
+    SurfaceError if either complex is not a connected closed surface.
+    """
+    _require_closed_surface(K, "the first complex")
+    _require_closed_surface(K2, "the second complex")
     if K.n != K2.n:
-        return False
+        return
     M, M2 = intersection_matrix(K), intersection_matrix(K2)
     for image in iter_bijections(M.entries, M2.entries, _compatibility(M, M2)):
-        if isinstance(_extend(K, K2, TriangleBijection(image)), Extended):
-            return True
-    return False
-
-
-def _require_closed_surface(K: Triangulation, name: str) -> None:
-    report = validate_closed_surface(K)
-    if not report.is_closed_surface:
-        raise SurfaceError(
-            f"the {name} complex is not a connected closed surface "
-            f"(connected={report.connected}, closed={report.closed}, "
-            f"links_ok={report.links_ok})"
-        )
+        f = TriangleBijection(image)
+        yield f, _extend(K, K2, f)
 
 
 def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> ExtensionResult:

@@ -27,8 +27,7 @@ from .intersection import (
     Extended,
     IntersectionMatrix,
     TriangleBijection,
-    extend_to_simplicial,
-    find_intersection_preserving_bijections,
+    _extensions,
     intersection_matrix,
     isomorphic,
 )
@@ -176,14 +175,10 @@ def _check_round_trip() -> tuple[bool, str]:
 
 
 def _count_extendable(K: Triangulation) -> tuple[int, int]:
-    M = intersection_matrix(K)
-    bijections = find_intersection_preserving_bijections(M, M)
-    extendable = sum(
-        1
-        for g in bijections
-        if isinstance(extend_to_simplicial(K, K, g), Extended)
-    )
-    return len(bijections), extendable
+    """(preserving self-bijections, those that extend), over the same walk
+    ``isomorphic`` takes."""
+    results = [r for _, r in _extensions(K, K)]
+    return len(results), sum(isinstance(r, Extended) for r in results)
 
 
 def _check_extension_counts() -> tuple[bool, str]:

@@ -2,8 +2,8 @@
 
 Each test runs one criterion from trimat.verification (the same checks the
 ``trimat verify-corpus`` command executes), asserts it passed within its
-time budget, and prints its one-line verdict.  Run with ``pytest -s`` (or
-read test_output.txt) to see the lines.
+time budget, and prints its one-line verdict.  Run with ``pytest -s`` to
+see the lines.
 
 1. catalog soundness: tp10 is a (6,15,10) chi=1 non-orientable closed
    surface, tp12 a (7,18,12) one; every corpus member validates.
@@ -22,6 +22,8 @@ read test_output.txt) to see the lines.
 7. matrix invariants: symmetry, diagonal 2, three 1s per row, and
    reconstruction-class invariance under 100 random reindexings.
 """
+
+import sys
 
 import pytest
 
@@ -52,3 +54,27 @@ def test_criterion7_reports_a_bad_row(monkeypatch):
     passed, detail = verification._check_matrix_invariants(trials=1)
     assert passed is False
     assert detail.startswith("moebius5: row ")
+
+
+def test_criterion5_validates_each_surface_once_per_side(monkeypatch):
+    # The extension counts walk every preserving self-bijection of each
+    # corpus surface; the two complexes are validated once per walk, not
+    # once per map.  Every binding of the function in the package is
+    # wrapped, so a caller that imports it under its own name is counted.
+    from trimat import complexes, verification
+
+    real = complexes.validate_closed_surface
+    calls = []
+
+    def counting(K):
+        calls.append(K)
+        return real(K)
+
+    for name, module in list(sys.modules.items()):
+        if name == "trimat" or name.startswith("trimat."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    assert run_check(5).passed
+    surfaces = len(verification.corpus())
+    assert 0 < len(calls) <= 2 * surfaces

@@ -46,6 +46,11 @@ class TestGenAndMatrix:
         assert code == 2
         assert "error" in err
 
+    def test_gen_disk_fan_too_small(self, capsys):
+        code, _, err = run(capsys, "gen", "--name", "disk_fan", "--n", "2")
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_matrix_of_tetrahedron(self, capsys, tmp_path, tetrahedron):
         path = write(tmp_path, "k.tri", serialize_triangulation(tetrahedron))
         code, out, _ = run(capsys, "matrix", path)
@@ -203,3 +208,11 @@ class TestUsageErrors:
         code, _, err = run(capsys, "matrix", "/nonexistent/path.tri")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command,name", [("matrix", "bad.tri"), ("reconstruct", "bad.imat")])
+    def test_input_not_utf8(self, capsys, tmp_path, command, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff")
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ")
