@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import catalog, verification
 from .complexes import parse_triangulation, serialize_triangulation, vertex_star
-from .cycles import classify_realization, enumerate_realizations, expected_classes
+from .cycles import ORACLE_MAX_N, classify_realization, enumerate_realizations
 from .errors import TrichotomyError, TrimatError
 from .intersection import (
     Extended,
@@ -102,24 +102,19 @@ def _cmd_classify_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemma(args: argparse.Namespace) -> int:
-    ok = True
+    ok, detail = verification._check_cycle_trichotomy(args.max_n)
+    if not ok:
+        print(f"# verify-lemma: trichotomy REFUTED: {detail}")
+        return EXIT_REFUTED
     for n in range(3, args.max_n + 1):
-        results = enumerate_realizations(n)
-        got = {cls for _, cls in results}
-        for realization, cls in results:
+        for realization, cls in enumerate_realizations(n):
             print(f"# n={n} class={cls}")
             sys.stdout.write(
                 "".join(f"{t}\n" for t in realization.triangles)
             )
             print()
-        if got != expected_classes(n):
-            ok = False
-            print(f"# n={n}: UNEXPECTED classes {sorted(map(str, got))}")
-    if ok:
-        print(f"# verify-lemma: trichotomy holds for n=3..{args.max_n}")
-        return EXIT_OK
-    print("# verify-lemma: trichotomy REFUTED")
-    return EXIT_REFUTED
+    print(f"# verify-lemma: trichotomy holds for n=3..{args.max_n}")
+    return EXIT_OK
 
 
 def _cmd_verify_corpus(_args: argparse.Namespace) -> int:
@@ -186,7 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify_link)
 
     p = sub.add_parser("verify-lemma", help="exhaustive cycle-realization oracle")
-    p.add_argument("--max-n", type=int, default=8, choices=range(3, 9), metavar="N")
+    p.add_argument(
+        "--max-n",
+        type=int,
+        default=ORACLE_MAX_N,
+        choices=range(3, ORACLE_MAX_N + 1),
+        metavar="N",
+    )
     p.set_defaults(func=_cmd_verify_lemma)
 
     p = sub.add_parser("verify-corpus", help="run the full corpus acceptance checks")

@@ -12,9 +12,10 @@ n = 5 and n = 6.
 all n triangles, and the two bands are recognized by canonical form, the
 same one the oracle deduplicates with, compared against the catalog's
 ``moebius5`` and ``moebius6``.  ``enumerate_realizations`` is the
-oracle: it exhaustively builds every realization at small n (up to
-relabeling and the dihedral symmetries of the cycle) so the trichotomy
-can be checked rather than assumed.
+oracle: at small n it takes every exact placement of the pattern from the
+growth search that ``reconstruct`` rebuilds surfaces with, and keeps one
+per canonical form (up to relabeling and the dihedral symmetries of the
+cycle), so the trichotomy can be checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import catalog
 from .complexes import Triangle
 from .errors import PatternError, TrichotomyError
 from .intersection import IntersectionMatrix
+from .reconstruct import DEFAULT_NODE_CAP, _grow
 
 __all__ = [
     "CycleClass",
@@ -182,51 +184,22 @@ def enumerate_realizations(
     """Every realization of the n-cycle pattern, up to relabeling and the
     2n dihedral symmetries, each paired with its classification.
 
-    Exhaustive backtracking: the first triangle is pinned to {0, 1, 2},
-    every later triangle shares two vertices with its predecessor and its
-    third vertex is either an already-used label or the next fresh one;
-    any candidate violating a prescribed pairwise intersection count is
-    pruned.  Survivors are deduplicated by a canonical form (lexicographic
-    minimum over all dihedral alignments and relabelings).
+    The placements come from ``reconstruct``'s growth search, the only
+    triangle-placement search in the package: it grows along the cycle
+    from triangle 0 = {0, 1, 2} and yields every labelled triangle
+    sequence whose pairwise shared-vertex counts are exactly the pattern's,
+    once up to renaming of vertices.  Survivors are deduplicated by a
+    canonical form (lexicographic minimum over all dihedral alignments and
+    relabelings).
 
     Only desk-scale sizes are allowed: 3 <= n <= 8.
     """
     if not 3 <= n <= ORACLE_MAX_N:
         raise ValueError(f"enumeration supports 3 <= n <= {ORACLE_MAX_N}, got {n}")
-
-    # Required |s_i ∩ s_j| as cardinalities.
-    def req(i: int, j: int) -> int:
-        return 2 if (i - j) % n in (1, n - 1) else 1
-
-    found: set[tuple[tuple[int, ...], ...]] = set()
-    chain: list[frozenset[int]] = [frozenset((0, 1, 2))]
-
-    def candidates() -> list[frozenset[int]]:
-        prev = chain[-1]
-        used = set().union(*chain)
-        fresh = max(used) + 1
-        out = set()
-        for pair in (frozenset(p) for p in permutations(sorted(prev), 2)):
-            for w in sorted(used - prev) + [fresh]:
-                if w not in pair:
-                    out.add(pair | {w})
-        return sorted(out, key=sorted)
-
-    def feasible(candidate: frozenset[int]) -> bool:
-        k = len(chain)
-        return all(len(candidate & chain[j]) == req(j, k) for j in range(k))
-
-    def search() -> None:
-        if len(chain) == n:
-            found.add(_canonical_encoding(chain))
-            return
-        for candidate in candidates():
-            if feasible(candidate):
-                chain.append(candidate)
-                search()
-                chain.pop()
-
-    search()
+    found = {
+        _canonical_encoding([frozenset(t) for t in tri])
+        for tri in _grow(ncycle_matrix(n), DEFAULT_NODE_CAP)
+    }
 
     results = []
     for key in sorted(found):

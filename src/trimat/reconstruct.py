@@ -5,36 +5,43 @@ says how many vertices triangles v and w share, less one (1 for an edge,
 0 for a vertex, -1 for disjoint).  The triangles that share an edge form
 the dual graph, which on a closed surface is 3-regular and connected.
 
-The search grows the surface along a BFS tree of the dual graph, starting
-from row 0, as in Weinberg's propagation for planar graph isomorphism.
-Row 0 becomes the triangle (0, 1, 2).  Every later triangle v shares an
-edge {a, b} with its BFS parent, so it is that edge plus an apex z, and
-the apex rule fixes z.  Take the first placed triangle that still needs
-more shared vertices with v than {a, b} gives it: z is one of its
-vertices.  If no placed triangle needs one, z is the next fresh vertex.
-No other apex can work: a used vertex lies in some placed triangle, which
-would then share too many vertices with v.  A candidate is kept only if
-it shares exactly M[v][w] + 1 vertices with every placed w; the placed
-triangles at each vertex give these counts without a scan over all rows.
-So a wrong guess dies at once, and the cost does not depend on the index
-order of the input.
+The search, ``_grow``, grows a placement (one triangle per row) along a
+BFS tree of the entry-1 graph, starting from row 0, as in Weinberg's
+propagation for planar graph isomorphism.  Row 0 becomes the triangle
+(0, 1, 2).  Every later triangle v shares an edge {a, b} with its BFS
+parent, so it is that edge plus an apex z, and the apex rule fixes z.
+Take the first placed triangle that still needs more shared vertices
+with v than {a, b} gives it: z is one of its vertices.  If no placed
+triangle needs one, z is the next fresh vertex.  No other apex can work:
+a used vertex lies in some placed triangle, which would then share too
+many vertices with v.  A candidate is kept only if it shares exactly
+M[v][w] + 1 vertices with every placed w; the placed triangles at each
+vertex give these counts without a scan over all rows.  So a wrong guess
+dies at once, and the cost does not depend on the index order of the
+input.
 
 Two rules keep each labelled solution from coming out more than once.
 The vertices of the root are interchangeable, so its first child is only
 tried on the edge (0, 1).  Vertices 0 and 1 stay interchangeable until a
 placed triangle holds exactly one of them; until then, a candidate that
-holds 1 without 0 is dropped.  Fresh vertices are numbered in order of
-first use, so every solution is a canonically labelled complex (relabelled
-v0, v1, ... in order of first appearance by triangle index), and two
-solutions differ by more than a renaming of vertices.  By the paper's
-theorem that happens only for the two exceptional matrices below.
+holds 1 without 0 is dropped.  So each exact placement comes out once up
+to renaming of vertices, and two solutions, relabelled v0, v1, ... in
+order of first appearance by triangle index, are different complexes.  By
+the paper's theorem two solutions exist only for the two exceptional
+matrices below.
 
 One search node is one placed candidate; a solvable matrix of n triangles
 usually needs about n of them.  The backtracking keeps an explicit stack
 of untried candidates per depth, so its depth is not bounded by the
-interpreter's recursion limit.  A completed placement is accepted only when
-it is a closed surface (pairwise counts do not rule out a pinched vertex)
-and reproduces M exactly.
+interpreter's recursion limit.
+
+Nothing in the search assumes a closed surface: ``_grow`` lazily yields
+the exact placements of any pattern whose entry-1 graph is connected, and
+the cycle oracle in ``cycles`` reads it for the n-cycle pattern.
+``reconstruct`` keeps the placements that are closed surfaces and
+reproduce M exactly; pairwise counts rule out neither a pinched vertex nor
+four triangles on one edge (a placement of the 4x4 all-ones matrix).  It
+stops at the first unless asked for all.
 
 The two matrices whose complexes admit non-extendable self-maps are
 recognized separately: ``detect_exceptional`` compares against the stored
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import catalog
 from .complexes import Triangle, Triangulation, validate_closed_surface
@@ -119,17 +127,22 @@ def _check_preconditions(M: IntersectionMatrix) -> None:
 
 
 def _grow(
-    M: IntersectionMatrix, node_cap: int, stop_after_first: bool
-) -> list[Triangulation]:
-    """Every canonically labelled closed surface realizing M, or the first.
+    M: IntersectionMatrix, node_cap: int
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Yield every exact placement of M, lazily, once up to renaming of
+    vertices.
 
-    Vertices are ints while the search runs; see the module docstring for
-    the order, the apex rule and the two symmetry rules.
+    A placement is one int triple per row, in row order, whose pairwise
+    shared-vertex counts are exactly M's.  M may be any pattern of two or
+    more rows whose entry-1 graph is connected (no placement comes out
+    otherwise); the placements need not be closed surfaces.  See the module docstring for
+    the order, the apex rule and the two symmetry rules.  Raises
+    BudgetExceededError once more than ``node_cap`` candidates are placed.
     """
     n = M.n
     want = M.entries
     if n == 0:
-        return []
+        return
     order = [0]
     parent = [-1] * n
     for u in order:
@@ -138,7 +151,7 @@ def _grow(
                 parent[v] = u
                 order.append(v)
     if len(order) != n:
-        return []
+        return
     # meets[k]: the triangles placed before order[k] that share a vertex
     # with it, in placement order.
     meets = [[w for w in order[:k] if want[v][w] >= 0] for k, v in enumerate(order)]
@@ -180,7 +193,6 @@ def _grow(
                     out.append(t)
         return out
 
-    solutions: list[Triangulation] = []
     nodes = 0
     # The explicit stack: pending[k] holds the candidates for order[k]
     # not tried yet, for every k below the current depth.
@@ -207,11 +219,7 @@ def _grow(
                     pending[k] = iter(candidates(k))
                 continue
         else:
-            K = _build(tri, want)
-            if K is not None:
-                solutions.append(K)
-                if stop_after_first:
-                    break
+            yield tuple(tri)
         # Take back the triangle placed last.
         k -= 1
         if k >= 1:
@@ -219,11 +227,10 @@ def _grow(
                 at[x].pop()
             if not at[-1]:
                 at.pop()
-    return solutions
 
 
 def _build(
-    tri: list[tuple[int, int, int]], want: tuple[tuple[int, ...], ...]
+    tri: tuple[tuple[int, int, int], ...], want: tuple[tuple[int, ...], ...]
 ) -> Triangulation | None:
     """The complex with vertices relabelled v0, v1, ... in order of first
     appearance by triangle index, or None unless it is a closed surface
@@ -264,16 +271,17 @@ def reconstruct(
     candidate triangles.
     """
     _check_preconditions(M)
-    solutions = _grow(M, node_cap, stop_after_first=not find_all_solutions)
-    if not solutions:
+    built = (_build(tri, M.entries) for tri in _grow(M, node_cap))
+    solutions = (K for K in built if K is not None)
+    first = next(solutions, None)
+    if first is None:
         raise ReconstructionError(
             f"no triangulation of a connected closed surface has this "
             f"{M.n}x{M.n} intersection matrix"
         )
-    first = solutions[0]
     all_iso: bool | None = None
     if find_all_solutions:
-        all_iso = all(isomorphic(first, other) for other in solutions[1:])
+        all_iso = all(isomorphic(first, other) for other in solutions)
     return ReconstructionResult(
         complex=first,
         ambiguity=detect_exceptional(M),

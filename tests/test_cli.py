@@ -1,10 +1,17 @@
 """CLI subcommands, exit codes, formats, and pipeline fixed points."""
 
+import contextlib
 import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimat import (
+    catalog,
+    disk,
     intersection_matrix,
     parse_matrix,
     parse_triangulation,
@@ -12,6 +19,7 @@ from trimat import (
     serialize_matrix,
     serialize_triangulation,
     TriangleBijection,
+    verification,
 )
 from trimat.cli import main
 
@@ -192,6 +200,14 @@ class TestVerifyLemma:
             K = parse_triangulation(block)
             assert K.n >= 3
 
+    def test_verdict_is_the_trichotomy_check(self, capsys, monkeypatch):
+        # With the bands left out of the expected classes, the acceptance
+        # check refutes n = 5, and the command reports that verdict.
+        monkeypatch.setattr(verification, "expected_classes", lambda n: {disk(n)})
+        code, out, _ = run(capsys, "verify-lemma", "--max-n", "6")
+        assert code == 1
+        assert out.startswith("# verify-lemma: trichotomy REFUTED: n=5: classes ")
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -216,3 +232,87 @@ class TestUsageErrors:
         code, _, err = run(capsys, command, str(path))
         assert code == 2
         assert err.startswith("error: ")
+
+
+# Surfaces (and one band) whose files and matrices the fuzz below also
+# writes, so that some inputs get past the parsers.
+_KNOWN = ["tetrahedron", "octahedron", "tp10", "moebius5"]
+
+
+def _tri_text():
+    triple = st.lists(st.sampled_from("abcdefg"), min_size=3, max_size=3, unique=True)
+    made_up = st.lists(triple, min_size=1, max_size=10).map(
+        lambda ts: "".join(" ".join(t) + "\n" for t in ts)
+    )
+    known = st.sampled_from(_KNOWN).map(
+        lambda name: serialize_triangulation(catalog.standard(name))
+    )
+    return st.one_of(known, made_up)
+
+
+@st.composite
+def _made_up_matrix(draw):
+    n = draw(st.integers(1, 7))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-1, 1))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.integers(-2, 3)
+        )
+    return f"{n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+def _imat_text():
+    known = st.sampled_from(_KNOWN).map(
+        lambda name: serialize_matrix(intersection_matrix(catalog.standard(name)))
+    )
+    return st.one_of(known, _made_up_matrix())
+
+
+@st.composite
+def _map_inputs(draw):
+    """Two .tri payloads and a bijection, often a permutation of the right
+    size for the first complex, which is often the second one too."""
+    tri = draw(_any_bytes(_tri_text()))
+    tri2 = draw(st.one_of(st.just(tri), _any_bytes(_tri_text())))
+    n = max(tri.count(b"\n"), 1)
+    numbers = st.one_of(st.permutations(range(n)), st.lists(st.integers(-1, 12), max_size=12))
+    bij = draw(_any_bytes(numbers.map(lambda xs: " ".join(map(str, xs)) + "\n")))
+    return tri, tri2, bij
+
+
+def _any_bytes(text):
+    return st.one_of(st.binary(max_size=64), text.map(str.encode))
+
+
+class TestAnyBytes:
+    """Whatever bytes the input files hold, the exit code is 0, 1 or 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["matrix", "reconstruct", "check-map", "extend", "classify-link"]),
+        maps=_map_inputs(),
+        imat=_any_bytes(_imat_text()),
+        node_cap=st.integers(0, 50),
+        vertex=st.sampled_from(["a", "b", "a0", "x", "z"]),
+    )
+    def test_exit_code_contract(self, command, maps, imat, node_cap, vertex):
+        tri, tri2, bij = maps
+        with tempfile.TemporaryDirectory() as d:
+            k, k2, m, f = (os.path.join(d, x) for x in ("k.tri", "k2.tri", "m.imat", "f.txt"))
+            for path, data in ((k, tri), (k2, tri2), (m, imat), (f, bij)):
+                with open(path, "wb") as handle:
+                    handle.write(data)
+            argv = {
+                "matrix": [k],
+                "reconstruct": ["--node-cap", str(node_cap), m],
+                "check-map": [k, k2, f],
+                "extend": [k, k2, f],
+                "classify-link": [k, "--vertex", vertex],
+            }[command]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main([command, *argv])
+        assert code in (0, 1, 2)

@@ -69,6 +69,8 @@ class TestReconstruct:
             result = reconstruct(M, find_all_solutions=False)
             assert intersection_matrix(result.complex).entries == M.entries, name
             assert validate_closed_surface(result.complex).is_closed_surface, name
+            # Stopping early returns the first solution the full search finds.
+            assert result.complex == reconstruct(M).complex, name
 
     def test_skipping_continuation_leaves_verdict_open(self, tetrahedron):
         result = reconstruct(
