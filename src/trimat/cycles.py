@@ -11,18 +11,20 @@ n = 5 and n = 6.
 ``classify_realization`` decides the type: a disk has a vertex common to
 all n triangles, and the two bands are recognized by canonical form, the
 same one the oracle deduplicates with, compared against the catalog's
-``moebius5`` and ``moebius6``.  ``enumerate_realizations`` is the
-oracle: at small n it takes every exact placement of the pattern from the
-growth search that ``reconstruct`` rebuilds surfaces with, and keeps one
-per canonical form (up to relabeling and the dihedral symmetries of the
-cycle), so the trichotomy can be checked rather than assumed.
+``moebius5`` and ``moebius6``.  The canonical form knows each vertex by
+its star, the indices of the triangles that contain it: a sequence is
+fixed up to renaming by the multiset of its stars, and the form is the
+smallest sorted tuple of stars over the 2n rotations and reflections of
+the cycle.  ``enumerate_realizations`` is the oracle: at small n it takes
+every exact placement of the pattern from the growth search that
+``reconstruct`` rebuilds surfaces with, and keeps one per canonical form,
+so the trichotomy can be checked rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 from . import catalog
@@ -188,9 +190,11 @@ def enumerate_realizations(
     triangle-placement search in the package: it grows along the cycle
     from triangle 0 = {0, 1, 2} and yields every labelled triangle
     sequence whose pairwise shared-vertex counts are exactly the pattern's,
-    once up to renaming of vertices.  Survivors are deduplicated by a
-    canonical form (lexicographic minimum over all dihedral alignments and
-    relabelings).
+    once up to renaming of vertices.  Survivors are deduplicated by their
+    canonical form, the smallest sorted tuple of vertex stars over the
+    dihedral re-indexings, and each representative is decoded from that
+    form: vertex k is the k-th star, and triangle i holds the vertices
+    whose star holds i.
 
     Only desk-scale sizes are allowed: 3 <= n <= 8.
     """
@@ -203,63 +207,39 @@ def enumerate_realizations(
 
     results = []
     for key in sorted(found):
-        tris = tuple(Triangle(tuple(str(v) for v in vs)) for vs in key)
+        tris = tuple(
+            Triangle(tuple(str(k) for k, star in enumerate(key) if i in star))
+            for i in range(n)
+        )
         realization = CycleRealization(tris)
         results.append((realization, classify_realization(realization)))
     return results
 
 
 def _canonical_encoding(seq: Sequence[frozenset]) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically smallest encoding over dihedral alignments and
-    relabelings.
+    """The smallest sorted tuple of vertex stars over the 2n dihedral
+    re-indexings of ``seq``.
 
-    The encoding is itself a relabeled re-alignment of ``seq``, so two
-    sequences get equal encodings exactly when one is a relabeled
-    re-alignment of the other.
-
-    For a fixed alignment the smallest relabeling assigns fresh labels in
-    first-appearance order; when a triangle introduces several new
-    vertices at once, all distributions of the next labels among them are
-    explored (the sorted per-triangle tuples tie, later triangles break
-    the tie).
+    The star of a vertex is the sorted tuple of the indices of the
+    triangles that contain it.  A sequence of triangles is known up to
+    renaming of vertices by the multiset of its stars (triangle i is the
+    set of vertices whose star holds i), so two sequences get equal
+    encodings exactly when one is a relabeled re-alignment of the other.
+    Equal stars are kept apart: in the n = 3 book, three triangles on one
+    edge, both ends of that edge have the star (0, 1, 2).
     """
     n = len(seq)
-    best: tuple[tuple[int, ...], ...] | None = None
-
-    def relabelings(order: list[frozenset[int]]) -> None:
-        nonlocal best
-
-        def walk(k: int, fwd: dict[int, int], enc: list[tuple[int, ...]]) -> None:
-            nonlocal best
-            if k == n:
-                candidate = tuple(enc)
-                if best is None or candidate < best:
-                    best = candidate
-                return
-            tri = order[k]
-            known = sorted(fwd[v] for v in tri if v in fwd)
-            new = sorted(v for v in tri if v not in fwd)
-            labels = list(range(len(fwd), len(fwd) + len(new)))
-            encoded = tuple(sorted(known + labels))
-            if best is not None and tuple(enc + [encoded]) > best[: k + 1]:
-                return
-            for assignment in permutations(new):
-                for v, lab in zip(assignment, labels):
-                    fwd[v] = lab
-                enc.append(encoded)
-                walk(k + 1, fwd, enc)
-                enc.pop()
-                for v in assignment:
-                    del fwd[v]
-
-        walk(0, {}, [])
-
-    for direction in (1, -1):
-        for offset in range(n):
-            relabelings([seq[(offset + direction * k) % n] for k in range(n)])
-
-    assert best is not None
-    return best
+    stars: dict[object, list[int]] = {}
+    for i, t in enumerate(seq):
+        for v in t:
+            stars.setdefault(v, []).append(i)
+    # Re-indexing k -> seq[(offset + d * k) % n] moves triangle i to
+    # position d * (i - offset) % n.
+    return min(
+        tuple(sorted(tuple(sorted(d * (i - offset) % n for i in star)) for star in stars.values()))
+        for d in (1, -1)
+        for offset in range(n)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -8,13 +8,16 @@ computed here.
 
 A triangle bijection between two complexes of equal size preserves
 intersections when it preserves every matrix entry.  Such a bijection may
-or may not be induced by a vertex map; ``extend_to_simplicial`` decides
-this by intersecting the images of each vertex star, and reports the
-vertex map when one exists.  ``isomorphic`` decides whether two surfaces
-are simplicially isomorphic by walking the preserving bijections lazily
-until one extends.  The extension counts of the corpus checks
-(``verification``) share that walk, ``_extensions``, and read it to the
-end; it validates each complex once, not once per map.
+or may not be induced by a vertex map.  On a closed surface a vertex is
+known by its star, the set of triangles that contain it, so
+``extend_to_simplicial`` maps each vertex x to the vertex whose star is
+the image of x's star, and the bijection extends exactly when every such
+image is a star.  ``isomorphic`` decides whether two surfaces are
+simplicially isomorphic by walking the preserving bijections lazily until
+one extends.  The extension counts of the corpus checks (``verification``)
+share that walk, ``_extensions``, and read it to the end; it leaves
+validation to its callers, which validate each complex once, not once per
+map.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -24,7 +27,6 @@ image indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator
 
 from ._search_py import iter_bijections, search_bijections
@@ -224,7 +226,8 @@ class Extended:
 @dataclass(frozen=True)
 class NonExtendable:
     """No vertex map induces the bijection; ``witness_vertex`` is the
-    lowest-labelled vertex at which the construction fails."""
+    lowest-labelled vertex whose star the bijection does not carry onto a
+    star."""
 
     witness_vertex: str
 
@@ -238,10 +241,9 @@ def extend_to_simplicial(
     """Try to extend an intersection-preserving triangle bijection to a
     simplicial isomorphism.
 
-    For each vertex x the candidate image is the common intersection of the
-    f-images of the triangles around x; the map extends exactly when every
-    such intersection is a single vertex and the induced vertex map is a
-    bijection carrying each triangle onto its f-image's vertex set.
+    A vertex of a closed surface is known by its star, the triangles that
+    contain it.  The map extends exactly when f carries the star of every
+    vertex x onto the star of some vertex y, and then x maps to y.
 
     Raises MappingError if f is not intersection preserving and
     SurfaceError if either complex is not a connected closed surface.
@@ -263,6 +265,8 @@ def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
 
     Raises SurfaceError if either complex is not a connected closed surface.
     """
+    _require_closed_surface(K, "the first complex")
+    _require_closed_surface(K2, "the second complex")
     return any(isinstance(r, Extended) for _, r in _extensions(K, K2))
 
 
@@ -272,13 +276,11 @@ def _extensions(
     """Every preserving bijection f from K to K2, lazily in lexicographic
     order, paired with its extension ``_extend(K, K2, f)``.
 
-    Each complex is validated once, before the first map, instead of once
-    per map as ``extend_to_simplicial`` does; the kernel yields only
-    preserving maps, so they are not re-checked either.  Raises
-    SurfaceError if either complex is not a connected closed surface.
+    Both complexes must be connected closed surfaces; the caller validates
+    them, once, instead of once per map as ``extend_to_simplicial`` does.
+    The kernel yields only preserving maps, so they are not re-checked
+    either.
     """
-    _require_closed_surface(K, "the first complex")
-    _require_closed_surface(K2, "the second complex")
     if K.n != K2.n:
         return
     M, M2 = intersection_matrix(K), intersection_matrix(K2)
@@ -289,37 +291,22 @@ def _extensions(
 
 def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> ExtensionResult:
     """The vertex-map construction of ``extend_to_simplicial``, for callers
-    that have validated both complexes and hold a preserving f."""
+    that have validated both complexes and hold a preserving f.
+
+    On a closed surface a vertex is known by its star, so x maps to the
+    vertex of K2 whose star is f(star(x)), and the map extends exactly when
+    every such image is a star.  The images of star(x) pairwise meet as
+    star(x) does, so if they share a vertex y they close up a fan inside
+    y's link cycle and are all of star(y); and a map that sends every star
+    onto a star is injective and carries each triangle onto its image.
+    """
+    vertex_of = {frozenset(K2.triangles_at(y)): y for y in K2.vertices()}
     vertex_map: dict[str, str] = {}
-    failures: list[str] = []
     for x in K.vertices():
-        images = [K2.triangles[f(i)].vertex_set for i in K.triangles_at(x)]
-        common = reduce(frozenset.__and__, images)
-        if len(common) != 1:
-            failures.append(x)
-        else:
-            (vertex_map[x],) = common
-
-    if not failures:
-        # Injectivity, then triangle-onto; surjectivity follows because
-        # every vertex of a pure complex lies in some triangle image.
-        hit: dict[str, str] = {}
-        for x in K.vertices():
-            y = vertex_map[x]
-            if y in hit:
-                failures.append(min(hit[y], x))
-            else:
-                hit[y] = x
-        for i, t in enumerate(K.triangles):
-            target = K2.triangles[f(i)].vertex_set
-            wrong = [x for x in t.vertices if vertex_map[x] not in target]
-            if wrong:
-                failures.append(min(wrong))
-            elif {vertex_map[x] for x in t.vertices} != target:
-                failures.append(min(t.vertices))
-
-    if failures:
-        return NonExtendable(witness_vertex=min(failures))
+        y = vertex_of.get(frozenset(f(i) for i in K.triangles_at(x)))
+        if y is None:
+            return NonExtendable(witness_vertex=x)
+        vertex_map[x] = y
     return Extended(vertex_map=vertex_map)
 
 

@@ -102,14 +102,9 @@ def detect_exceptional(M: IntersectionMatrix) -> str | None:
     Sizes other than 10 and 12 short-circuit immediately.
     """
     _check_preconditions(M)
-    if M.n == 10:
-        reference = _exceptional_matrix("tp10")
-        if find_intersection_preserving_bijections(reference, M, limit=1):
-            return "TP10"
-    elif M.n == 12:
-        reference = _exceptional_matrix("tp12")
-        if find_intersection_preserving_bijections(reference, M, limit=1):
-            return "TP12"
+    name = {10: "tp10", 12: "tp12"}.get(M.n)
+    if name and find_intersection_preserving_bijections(_exceptional_matrix(name), M, limit=1):
+        return name.upper()
     return None
 
 

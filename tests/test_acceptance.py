@@ -56,12 +56,13 @@ def test_criterion7_reports_a_bad_row(monkeypatch):
     assert detail.startswith("moebius5: row ")
 
 
-def test_criterion5_validates_each_surface_once_per_side(monkeypatch):
-    # The extension counts walk every preserving self-bijection of each
-    # corpus surface; the two complexes are validated once per walk, not
-    # once per map.  Every binding of the function in the package is
-    # wrapped, so a caller that imports it under its own name is counted.
-    from trimat import complexes, verification
+def counted_validations(monkeypatch):
+    """The complexes passed to ``validate_closed_surface`` from now on.
+
+    Every binding of the function in the package is wrapped, so a caller
+    that imports it under its own name is counted.
+    """
+    from trimat import complexes
 
     real = complexes.validate_closed_surface
     calls = []
@@ -75,6 +76,29 @@ def test_criterion5_validates_each_surface_once_per_side(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_criterion5_validates_each_surface_once_per_side(monkeypatch):
+    # The extension counts walk every preserving self-bijection of each
+    # corpus surface; the two complexes are validated once per walk, not
+    # once per map.
+    from trimat import verification
+
+    calls = counted_validations(monkeypatch)
     assert run_check(5).passed
     surfaces = len(verification.corpus())
     assert 0 < len(calls) <= 2 * surfaces
+
+
+def test_criterion7_validates_each_reconstruction_once(monkeypatch):
+    # reconstruct validates the complex it returns; the isomorphism check
+    # between a reconstruction and its baseline must not validate both
+    # again.  Criterion 7 runs reconstruct once per corpus surface and once
+    # per trial (100 of them).
+    from trimat import verification
+
+    calls = counted_validations(monkeypatch)
+    assert run_check(7).passed
+    reconstruct_calls = len(verification.corpus()) + 100
+    assert 0 < len(calls) <= 2 * reconstruct_calls

@@ -27,10 +27,23 @@ from trimat import (
     serialize_bijection,
     serialize_matrix,
 )
+from trimat.verification import simplicial_automorphisms
 
 # The swap self-map of tp10 exchanging the fan 5-cycle around x with the
 # band 5-cycle of the r-triangles: g(s_i) = r_(2i mod 5), g(r_i) = s_(2i mod 5).
 TP10_SWAP = TriangleBijection((5, 7, 9, 6, 8, 0, 2, 4, 1, 3))
+
+# (preserving bijections, those that extend) from each corpus surface to a
+# reindexed, relabelled copy of itself; the second number is the order of
+# the simplicial automorphism group.
+EXTENSION_COUNTS = {
+    "tetrahedron": (24, 24),
+    "octahedron": (48, 48),
+    "icosahedron": (120, 120),
+    "torus7": (42, 42),
+    "tp10": (120, 60),
+    "tp12": (48, 24),
+}
 
 
 def tp10_expected_matrix():
@@ -247,6 +260,24 @@ class TestExtension:
             for i, t in enumerate(octahedron.triangles):
                 image = frozenset(h[v] for v in t.vertices)
                 assert image == octahedron.triangles[g(i)].vertex_set
+
+    def test_counts_onto_reindexed_relabelled_copies(self, corpus):
+        for seed, (name, K) in enumerate(corpus):
+            K2 = reindexed_relabelled(K, seed)
+            maps = find_intersection_preserving_bijections(
+                intersection_matrix(K), intersection_matrix(K2)
+            )
+            extended = 0
+            for g in maps:
+                result = extend_to_simplicial(K, K2, g)
+                if isinstance(result, Extended):
+                    extended += 1
+                    h = result.vertex_map
+                    for i, t in enumerate(K.triangles):
+                        image = frozenset(h[v] for v in t.vertices)
+                        assert image == K2.triangles[g(i)].vertex_set, name
+            assert (len(maps), extended) == EXTENSION_COUNTS[name]
+            assert extended == len(simplicial_automorphisms(K)), name
 
     def test_rejects_non_preserving_map(self, tp10):
         forward = list(range(10))
