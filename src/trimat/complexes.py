@@ -9,6 +9,9 @@ after construction and all operations are pure functions.
 The ``.tri`` text format: one triangle per line as three whitespace
 separated labels, ``#`` starts a comment, blank lines are ignored, and the
 triangle index is the order of occurrence.
+
+Surface validation and vertex stars share one walk around each vertex
+link; the order of that walk is the vertex star.
 """
 
 from __future__ import annotations
@@ -207,52 +210,55 @@ def serialize_triangulation(K: Triangulation) -> str:
 
 
 def _is_connected(K: Triangulation) -> bool:
-    # Connectivity of the 1-skeleton; for a pure 2-complex this is the
+    # Connectivity of the 1-skeleton, walked from each vertex to the other
+    # vertices of its triangles; for a pure 2-complex this is the
     # connectivity of the underlying space.
     verts = K.vertices()
-    if len(verts) <= 1:
-        return True
-    adjacent: dict[str, set[str]] = {v: set() for v in verts}
-    for t in K.triangles:
-        a, b, c = t.vertices
-        adjacent[a].update((b, c))
-        adjacent[b].update((a, c))
-        adjacent[c].update((a, b))
     todo = [verts[0]]
     reached = {verts[0]}
     while todo:
-        for w in adjacent[todo.pop()]:
-            if w not in reached:
-                reached.add(w)
-                todo.append(w)
+        for i in K.triangles_at(todo.pop()):
+            for w in K.triangles[i].vertices:
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
     return len(reached) == len(verts)
 
 
-def _link_is_single_cycle(K: Triangulation, v: str) -> bool:
+def _link_cycle(K: Triangulation, v: str) -> tuple[int, ...] | None:
+    """The star of ``v`` in cyclic order, or None unless the link of ``v``
+    is a single cycle.
+
+    ``across[u]`` lists the star triangles on the edge {v, u}.  The link is
+    one cycle exactly when each of these edges lies in two star triangles
+    and the walk from triangle to triangle across them covers the star;
+    stars of one or two triangles always leave an edge in only one.  The
+    walk starts at the lowest index and heads toward the lower-indexed of
+    its two neighbours.
+    """
     star = K.triangles_at(v)
-    if len(star) < 3:
-        return False
-    star_set = set(star)
-    # Every edge through v must bound exactly 2 star triangles, and the
-    # star must be connected under shared-edge adjacency.
-    neighbors: dict[int, list[int]] = {i: [] for i in star}
+    across: dict[str, list[int]] = {}
     for i in star:
-        for e in K.triangles[i].edges():
-            if v not in e:
-                continue
-            on_edge = K.triangles_on(e)
-            if len(on_edge) != 2 or any(j not in star_set for j in on_edge):
-                return False
-            j = on_edge[0] if on_edge[1] == i else on_edge[1]
-            neighbors[i].append(j)
-    todo = [star[0]]
-    reached = {star[0]}
-    while todo:
-        for j in neighbors[todo.pop()]:
-            if j not in reached:
-                reached.add(j)
-                todo.append(j)
-    return len(reached) == len(star)
+        for u in K.triangles[i].vertices:
+            if u != v:
+                across.setdefault(u, []).append(i)
+    if any(len(pair) != 2 for pair in across.values()):
+        return None
+    # The star and each across[u] are in increasing index order, so the
+    # lowest triangle comes first in both of its pairs.
+    start = star[0]
+    u, w = (x for x in K.triangles[start].vertices if x != v)
+    if across[w][1] < across[u][1]:
+        u = w
+    cycle = [start]
+    while True:
+        a, b = across[u]
+        j = b if a == cycle[-1] else a
+        if j == start:
+            break
+        cycle.append(j)
+        u = next(x for x in K.triangles[j].vertices if x != v and x != u)
+    return tuple(cycle) if len(cycle) == len(star) else None
 
 
 def _oriented_consistently(K: Triangulation) -> bool:
@@ -300,7 +306,7 @@ def validate_closed_surface(K: Triangulation) -> SurfaceReport:
     """
     connected = _is_connected(K)
     closed = all(len(ix) == 2 for ix in K._edge_map.values())
-    links_ok = all(_link_is_single_cycle(K, v) for v in K.vertices())
+    links_ok = all(_link_cycle(K, v) is not None for v in K.vertices())
     chi = euler_characteristic(K)
     orientable: bool | None = None
     if connected and closed and links_ok:
@@ -353,34 +359,16 @@ def boundary_edges(K: Triangulation) -> tuple[frozenset[str], ...]:
 def vertex_star(K: Triangulation, v: str) -> tuple[int, ...]:
     """The triangles around ``v`` in cyclic order.
 
-    Consecutive entries (cyclically) share an edge through ``v``.  The walk
-    starts at the lowest triangle index in the star and proceeds toward the
-    lower-indexed of its two neighbours, which makes the output canonical.
+    Consecutive entries (cyclically) share an edge through ``v``.  This is
+    the walk around the link of ``v`` that ``validate_closed_surface``
+    makes: it starts at the lowest triangle index in the star and proceeds
+    toward the lower-indexed of its two neighbours, which makes the output
+    canonical.
 
     Raises SurfaceError if ``v`` is absent or its star is not a single
     cycle (the latter signals non-surface input).
     """
-    star = K.triangles_at(v)
-    if not _link_is_single_cycle(K, v):
+    cycle = _link_cycle(K, v)
+    if cycle is None:
         raise SurfaceError(f"the star of vertex {v!r} is not a single cycle")
-
-    def star_neighbors(i: int) -> list[int]:
-        out = []
-        for e in K.triangles[i].edges():
-            if v in e:
-                pair = K.triangles_on(e)
-                out.append(pair[0] if pair[1] == i else pair[1])
-        return sorted(out)
-
-    start = min(star)
-    second = star_neighbors(start)[0]
-    cycle = [start, second]
-    while True:
-        nxt = [j for j in star_neighbors(cycle[-1]) if j != cycle[-2]]
-        assert len(nxt) == 1
-        if nxt[0] == start:
-            break
-        cycle.append(nxt[0])
-    if len(cycle) != len(star):
-        raise SurfaceError(f"the star of vertex {v!r} is not a single cycle")
-    return tuple(cycle)
+    return cycle

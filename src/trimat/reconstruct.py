@@ -110,9 +110,16 @@ def detect_exceptional(M: IntersectionMatrix) -> str | None:
 
 def _check_preconditions(M: IntersectionMatrix) -> None:
     # Symmetry, the diagonal and the entry range are enforced by the
-    # IntersectionMatrix type itself; the closed-surface necessary
-    # condition of exactly three edge-neighbours per triangle is not.
+    # IntersectionMatrix type itself.  Two necessary conditions are not:
+    # distinct triangles share at most an edge, and on a closed surface
+    # each triangle has exactly three edge-neighbours.
     for i in range(M.n):
+        for j, v in enumerate(M.row(i)):
+            if v == 2 and j != i:
+                raise PatternError(
+                    f"entry ({i},{j}) is 2 off the diagonal, but distinct "
+                    "triangles share at most an edge"
+                )
         ones = sum(1 for v in M.row(i) if v == 1)
         if ones != 3:
             raise PatternError(

@@ -243,7 +243,7 @@ def _check_matrix_invariants(trials: int = 100) -> tuple[bool, str]:
     rng = random.Random(ORACLE_SEED + 1)
     members = corpus()
     # Symmetry and the diagonal are enforced by the IntersectionMatrix
-    # type; reconstruct raises PatternError unless each row has three 1s.
+    # type; reconstruct raises PatternError on any other bad row.
     baseline = {}
     for name, K in members:
         try:

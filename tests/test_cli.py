@@ -126,6 +126,15 @@ class TestReconstructCommand:
         assert code == 2
         assert "error" in err
 
+    def test_off_diagonal_two(self, capsys, tmp_path):
+        text = (
+            "6\n2 1 2 1 1 2\n1 2 1 2 0 1\n2 1 2 1 1 2\n"
+            "1 2 1 2 0 1\n1 0 1 0 2 1\n2 1 2 1 1 2\n"
+        )
+        code, _, err = run(capsys, "reconstruct", write(tmp_path, "m.imat", text))
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestMapCommands:
     def test_check_map_yes(self, capsys, tmp_path, tetrahedron):

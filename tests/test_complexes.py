@@ -1,5 +1,8 @@
 """Complex model, .tri parsing, surface validation, vertex stars."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,63 @@ from trimat import (
     validate_closed_surface,
     vertex_star,
 )
+from trimat.catalog import CLOSED_SURFACES, standard
 
 TETRA_TEXT = "a b c\na b d\na c d\nb c d\n"
+# Two tetrahedra pinched together at 'a': every edge lies in two triangles,
+# but the link of 'a' is two cycles.
+PINCHED_TEXT = TETRA_TEXT + "a e f\na e g\na f g\ne f g\n"
+
+
+def _roots(groups):
+    """The classes of a union-find that merges the members of each group."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for first, *rest in groups:
+        for y in rest:
+            parent[find(y)] = find(first)
+    return {find(x) for x in parent}
+
+
+def _link_is_cycle(triangle_sets, v):
+    """Whether the link graph of v is connected and 2-regular."""
+    link = [tuple(t - {v}) for t in triangle_sets if v in t]
+    degree = Counter(u for edge in link for u in edge)
+    return all(d == 2 for d in degree.values()) and len(_roots(link)) == 1
+
+
+@st.composite
+def near_surfaces(draw):
+    """A corpus surface, perhaps with a tetrahedron pinched on at one
+    vertex, less up to two triangles and plus up to two, in any order."""
+    K = standard(draw(st.sampled_from(CLOSED_SURFACES)))
+    tris = {t.vertex_set for t in K.triangles}
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(K.vertices()))
+        tris |= {frozenset(t) for t in combinations((v, "n0", "n1", "n2"), 3)}
+    labels = sorted(set().union(*tris))
+    tris -= draw(st.sets(st.sampled_from(sorted(tris, key=sorted)), max_size=2))
+    tris |= draw(
+        st.sets(
+            st.frozensets(st.sampled_from(labels), min_size=3, max_size=3),
+            max_size=2,
+        )
+    )
+    return draw(st.permutations(sorted(tris, key=sorted)))
+
+
+RANDOM_TRIANGLE_SETS = st.lists(
+    st.frozensets(st.sampled_from("abcdefghij"), min_size=3, max_size=3),
+    min_size=1,
+    max_size=8,
+    unique=True,
+)
 
 
 class TestTriangle:
@@ -88,19 +146,31 @@ class TestParsing:
         assert parse_triangulation(serialize_triangulation(K)) == K
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.frozensets(
-                st.sampled_from("abcdefghij"), min_size=3, max_size=3
-            ),
-            min_size=1,
-            max_size=8,
-            unique=True,
-        )
-    )
+    @given(RANDOM_TRIANGLE_SETS)
     def test_serialize_round_trip_random(self, triangle_sets):
         K = Triangulation(Triangle(tuple(s)) for s in triangle_sets)
         assert parse_triangulation(serialize_triangulation(K)) == K
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(near_surfaces(), RANDOM_TRIANGLE_SETS))
+    def test_links_and_connectivity_match_definitions(self, triangle_sets):
+        K = Triangulation(Triangle(tuple(s)) for s in triangle_sets)
+        report = validate_closed_surface(K)
+        cyclic = {v: _link_is_cycle(triangle_sets, v) for v in K.vertices()}
+        assert report.links_ok == all(cyclic.values())
+        assert report.connected == (len(_roots(triangle_sets)) == 1)
+        for v, is_cycle in cyclic.items():
+            if not is_cycle:
+                with pytest.raises(SurfaceError):
+                    vertex_star(K, v)
+                continue
+            star = vertex_star(K, v)
+            assert sorted(star) == sorted(K.triangles_at(v))
+            assert len(star) == K.degree(v)
+            for k, i in enumerate(star):
+                j = star[(k + 1) % len(star)]
+                shared = K.triangles[i].vertex_set & K.triangles[j].vertex_set
+                assert len(shared) == 2 and v in shared
 
 
 class TestValidation:
@@ -121,6 +191,17 @@ class TestValidation:
         K = parse_triangulation("a b c\nd e f\n")
         report = validate_closed_surface(K)
         assert not report.connected
+
+    def test_bowtie_is_connected(self):
+        # Two triangles meeting at one vertex are joined in the 1-skeleton.
+        report = validate_closed_surface(parse_triangulation("a b c\na d e\n"))
+        assert report.connected and not report.closed
+
+    def test_pinched_tetrahedra(self):
+        report = validate_closed_surface(parse_triangulation(PINCHED_TEXT))
+        assert report.connected and report.closed
+        assert not report.links_ok
+        assert report.orientable is None
 
     def test_tp10_report(self, tp10):
         report = validate_closed_surface(tp10)
@@ -189,3 +270,9 @@ class TestVertexStar:
         K = parse_triangulation("a b c\na b d\na b e\n")
         with pytest.raises(SurfaceError):
             vertex_star(K, "a")
+
+    def test_star_at_a_pinch(self):
+        K = parse_triangulation(PINCHED_TEXT)
+        with pytest.raises(SurfaceError):
+            vertex_star(K, "a")
+        assert vertex_star(K, "b") == (0, 1, 3)

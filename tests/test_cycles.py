@@ -23,6 +23,7 @@ from trimat import (
     boundary_edges,
 )
 from trimat.complexes import _oriented_consistently
+from trimat.cycles import _canonical_encoding
 
 # The oracle's realization counts up to dihedral symmetry and relabeling.
 EXPECTED_COUNTS = {3: 2, 4: 1, 5: 2, 6: 2, 7: 1, 8: 1}
@@ -92,6 +93,12 @@ class TestClassifier:
             for offset in range(n):
                 seq = [tris[(offset + direction * k) % n] for k in range(n)]
                 assert classify_realization(seq) == want
+
+    def test_encoding_identifies_a_reversal(self):
+        # No relabelled rotation of this sequence is its reversal, so only
+        # the reflections in the canonical form make the two equal.
+        seq = [frozenset("abc"), frozenset("bcd"), frozenset("def")]
+        assert _canonical_encoding(seq) == _canonical_encoding(seq[::-1])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), kind=st.sampled_from(["m5", "m6", "fan"]))

@@ -38,6 +38,17 @@ def unrealizable_6x6():
     return IntersectionMatrix(tuple(rows))
 
 
+# Three 1s per row, but rows 0, 2 and 5 are one triangle three times.
+OFF_DIAGONAL_TWO_ROWS = (
+    (2, 1, 2, 1, 1, 2),
+    (1, 2, 1, 2, 0, 1),
+    (2, 1, 2, 1, 1, 2),
+    (1, 2, 1, 2, 0, 1),
+    (1, 0, 1, 0, 2, 1),
+    (2, 1, 2, 1, 1, 2),
+)
+
+
 class TestReconstruct:
     def test_tetrahedron(self, tetrahedron):
         M = intersection_matrix(tetrahedron)
@@ -102,6 +113,13 @@ class TestReconstructErrors:
 
         with pytest.raises(PatternError):
             reconstruct(ncycle_matrix(4))
+
+    def test_off_diagonal_two(self):
+        M = IntersectionMatrix(OFF_DIAGONAL_TWO_ROWS)
+        with pytest.raises(PatternError):
+            reconstruct(M)
+        with pytest.raises(PatternError):
+            detect_exceptional(M)
 
     def test_moebius_band_matrix_rejected(self):
         with pytest.raises(PatternError):
