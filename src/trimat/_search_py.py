@@ -3,14 +3,27 @@
 Yields every index bijection g with m2[g[i]][g[j]] == m1[i][j] for every
 i, j, in lexicographic order of the image sequence.
 
-Rows are assigned in index order and candidate images are tried in
-ascending order, which yields the lexicographic output order directly.
-The caller supplies the row-compatibility table (same entry multisets);
-the kernel itself only enforces pairwise consistency with already placed
-rows, checking the rows that meet the current one before the disjoint
-ones.  The search keeps its own stack, so its depth is not bounded by the
-interpreter's recursion limit, and it is a generator, so a caller that
-needs only some of the bijections stops the search where it stops reading.
+Rows are placed in BFS order over the entry-1 (dual) graph of m1: the walk
+starts at row 0, and each further component starts at its lowest row not
+yet reached.  A root row tries every allowed image in ascending order.
+Every other row shares an edge with its BFS parent, so its image must be an
+entry-1 neighbour of the parent's image; on a closed surface that leaves at
+most 3 candidates (Weinberg's propagation idea for triangulations).  The
+caller supplies the row-compatibility table (same entry multisets); the
+kernel checks each candidate against every placed row, those that meet it
+before the disjoint ones, since a wrong image often matches a disjoint (-1)
+entry by chance.
+
+The output stays lexicographic without sorting the whole enumeration.
+Let k be the length of the longest prefix of the placement order that is
+rows 0..k-1 in index order.  Those rows try their images in ascending
+order, so the bijections that share the images of rows 0..k-1 come out
+together and the groups come out in ascending order; each group is sorted
+before it is yielded.  A matrix with no entry-1 pair has k = n, so nothing
+is buffered.  The search keeps its own stack, so its depth is not bounded
+by the interpreter's recursion limit, and it is a generator, so a caller
+that needs only some of the bijections stops the search where it stops
+reading.
 """
 
 from __future__ import annotations
@@ -19,6 +32,31 @@ from itertools import islice
 from typing import Iterator
 
 __all__ = ["iter_bijections", "search_bijections"]
+
+
+def _placement_order(m1: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
+    """Rows in BFS order over the entry-1 graph of m1, with each row's BFS
+    parent (-1 for the root of a component)."""
+    n = len(m1)
+    parent = [-1] * n
+    reached = [False] * n
+    order: list[int] = []
+    for root in range(n):
+        if reached[root]:
+            continue
+        reached[root] = True
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            r = order[head]
+            head += 1
+            row = m1[r]
+            for s in range(n):
+                if row[s] == 1 and not reached[s]:
+                    reached[s] = True
+                    parent[s] = r
+                    order.append(s)
+    return order, parent
 
 
 def iter_bijections(
@@ -32,44 +70,61 @@ def iter_bijections(
     if n == 0:
         yield ()
         return
-    candidates = [[j for j in range(n) if ok_row[j]] for ok_row in allowed]
-    # checks[d]: the earlier rows that row d is checked against, those it
-    # meets (entry >= 0) first.  A wrong image often matches a disjoint
-    # (-1) entry by chance, so the meeting rows reject it sooner.
-    checks = [
-        [i for i in range(d) if m1[d][i] >= 0] + [i for i in range(d) if m1[d][i] < 0]
-        for d in range(n)
-    ]
+    order, parent = _placement_order(m1)
+    # Rows 0..k-1 are placed first, in index order.
+    k = next((p for p, r in enumerate(order) if p != r), n)
+    neighbours2 = [tuple(j for j in range(n) if row[j] == 1) for row in m2]
+    # checks[p]: (earlier row, entry) pairs that the image of the row at
+    # position p is checked against, the rows it meets first.
+    checks = []
+    for p, r in enumerate(order):
+        placed = order[:p]
+        row = m1[r]
+        checks.append(
+            [(i, row[i]) for i in placed if row[i] >= 0]
+            + [(i, row[i]) for i in placed if row[i] < 0]
+        )
     image = [0] * n
     used = [False] * n
-    # pending[d]: the images row d has not tried yet.  Resuming a for loop
-    # over this iterator continues the scan where it stopped.
+    group: list[tuple[int, ...]] = []
+    # pending[p]: the images the row at position p has not tried yet.
+    # Resuming a for loop over this iterator continues the scan where it
+    # stopped.
     pending = [iter(())] * n
-    pending[0] = iter(candidates[0])
+    pending[0] = iter(range(n))
     depth = 0
     while depth >= 0:
-        row = m1[depth]
+        r = order[depth]
+        ok = allowed[r]
         for j in pending[depth]:
-            if used[j]:
+            if used[j] or not ok[j]:
                 continue
             col_j = m2[j]
-            for i in checks[depth]:
-                if col_j[image[i]] != row[i]:
+            for i, v in checks[depth]:
+                if col_j[image[i]] != v:
                     break
             else:
                 break
         else:
             depth -= 1
             if depth >= 0:
-                used[image[depth]] = False
+                used[image[order[depth]]] = False
+            if depth == k - 1 and group:
+                group.sort()
+                yield from group
+                group.clear()
             continue
-        image[depth] = j
+        image[r] = j
         if depth + 1 == n:
-            yield tuple(image)
+            if k == n:
+                yield tuple(image)
+            else:
+                group.append(tuple(image))
             continue
         used[j] = True
         depth += 1
-        pending[depth] = iter(candidates[depth])
+        r = order[depth]
+        pending[depth] = iter(range(n) if parent[r] < 0 else neighbours2[image[parent[r]]])
 
 
 def search_bijections(

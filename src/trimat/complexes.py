@@ -12,14 +12,24 @@ triangle index is the order of occurrence.
 
 Surface validation and vertex stars share one walk around each vertex
 link; the order of that walk is the vertex star.
+
+Since a triangulation never changes, the facts derived from it are worked
+out once per complex, on first use, and kept on the instance: the
+``SurfaceReport`` of ``validate_closed_surface``, the intersection matrix
+(``intersection.intersection_matrix``) and the index from vertex stars to
+vertices that ``intersection.extend_to_simplicial`` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import ParseError, SurfaceError
+
+if TYPE_CHECKING:
+    from .intersection import IntersectionMatrix
 
 __all__ = [
     "Triangle",
@@ -81,7 +91,14 @@ class Triangulation:
     triangle count; ``triangles[i]`` is the i-th triangle.
     """
 
-    __slots__ = ("triangles", "_edge_map", "_vertex_map")
+    __slots__ = (
+        "triangles",
+        "_edge_map",
+        "_vertex_map",
+        "_report",
+        "_matrix",
+        "_vertex_of_star",
+    )
 
     def __init__(self, triangles: Iterable[Triangle]):
         tris = tuple(triangles)
@@ -104,6 +121,12 @@ class Triangulation:
                 vertex_map.setdefault(v, []).append(i)
         self._edge_map = {e: tuple(ix) for e, ix in edge_map.items()}
         self._vertex_map = {v: tuple(ix) for v, ix in vertex_map.items()}
+        # Derived facts, each set on first use by the function that works
+        # it out: validate_closed_surface, intersection.intersection_matrix
+        # and intersection._extend.
+        self._report: SurfaceReport | None = None
+        self._matrix: IntersectionMatrix | None = None
+        self._vertex_of_star: dict[frozenset[int], str] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -157,6 +180,8 @@ class SurfaceReport:
 
     ``orientable`` is None unless the complex is a connected closed surface
     (it is undefined otherwise).  Problems are reported, never thrown.
+    ``per_vertex_degree`` is read-only, since every caller that validates
+    the same complex shares the report.
     """
 
     connected: bool
@@ -302,8 +327,11 @@ def validate_closed_surface(K: Triangulation) -> SurfaceReport:
 
     The report carries the individual findings; ``is_closed_surface`` is
     their conjunction.  Orientability is only decided (and only defined)
-    when the complex passes all three checks.
+    when the complex passes all three checks.  The report is worked out on
+    the first call for a complex; later calls return the same report.
     """
+    if K._report is not None:
+        return K._report
     connected = _is_connected(K)
     closed = all(len(ix) == 2 for ix in K._edge_map.values())
     links_ok = all(_link_cycle(K, v) is not None for v in K.vertices())
@@ -311,8 +339,8 @@ def validate_closed_surface(K: Triangulation) -> SurfaceReport:
     orientable: bool | None = None
     if connected and closed and links_ok:
         orientable = _oriented_consistently(K)
-    degrees = {v: K.degree(v) for v in K.vertices()}
-    return SurfaceReport(
+    degrees = MappingProxyType({v: K.degree(v) for v in K.vertices()})
+    K._report = SurfaceReport(
         connected=connected,
         closed=closed,
         links_ok=links_ok,
@@ -320,6 +348,7 @@ def validate_closed_surface(K: Triangulation) -> SurfaceReport:
         orientable=orientable,
         per_vertex_degree=degrees,
     )
+    return K._report
 
 
 def euler_characteristic(K: Triangulation) -> int:

@@ -27,6 +27,7 @@ image indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from ._search_py import iter_bijections, search_bijections
@@ -114,14 +115,16 @@ class IntersectionMatrix:
 
 
 def intersection_matrix(K: Triangulation) -> IntersectionMatrix:
-    """Matrix of pairwise intersection dimensions in triangle index order."""
-    sets = [t.vertex_set for t in K.triangles]
-    n = len(sets)
-    rows = []
-    for i in range(n):
-        si = sets[i]
-        rows.append(tuple(len(si & sets[j]) - 1 for j in range(n)))
-    return IntersectionMatrix(tuple(rows))
+    """Matrix of pairwise intersection dimensions in triangle index order.
+
+    Worked out on the first call for a complex and kept on it.
+    """
+    if K._matrix is None:
+        sets = [t.vertex_set for t in K.triangles]
+        K._matrix = IntersectionMatrix(
+            tuple(tuple(len(si & sj) - 1 for sj in sets) for si in sets)
+        )
+    return K._matrix
 
 
 @dataclass(frozen=True)
@@ -168,19 +171,17 @@ class TriangleBijection:
 def is_intersection_preserving(
     K: Triangulation, K2: Triangulation, f: TriangleBijection
 ) -> bool:
-    """True iff dim(s_i ∩ s_j) = dim(f(s_i) ∩ f(s_j)) for every pair."""
+    """True iff dim(s_i ∩ s_j) = dim(f(s_i) ∩ f(s_j)) for every pair,
+    that is, iff row f(i) of K2's matrix, read through f, is row i of K's."""
     if K.n != K2.n:
         raise MappingError(f"complex sizes differ: {K.n} vs {K2.n}")
     if f.n != K.n:
         raise MappingError(f"bijection size {f.n} does not match complexes of size {K.n}")
-    sets1 = [t.vertex_set for t in K.triangles]
-    sets2 = [t.vertex_set for t in K2.triangles]
-    for i in range(K.n):
-        fi = sets2[f(i)]
-        for j in range(i + 1, K.n):
-            if len(sets1[i] & sets1[j]) != len(fi & sets2[f(j)]):
-                return False
-    return True
+    if f.n == 1:
+        return True  # itemgetter of one index returns an entry, not a row
+    M, M2 = intersection_matrix(K).entries, intersection_matrix(K2).entries
+    through_f = itemgetter(*f.forward)
+    return all(through_f(M2[fi]) == row for fi, row in zip(f.forward, M))
 
 
 def _compatibility(m1: IntersectionMatrix, m2: IntersectionMatrix) -> tuple[tuple[bool, ...], ...]:
@@ -203,7 +204,13 @@ def find_intersection_preserving_bijections(
     differ).  ``limit`` truncates the output to the first ``limit``
     bijections in lexicographic order of the image sequence.  Rows are
     matched only when their entry multisets agree, which prunes most of
-    the search tree up front.
+    the search tree up front.  The search places rows in BFS order over
+    the entry-1 (dual) graph of M, so each row after the first of its
+    component maps to one of the entry-1 neighbours of its BFS parent's
+    image, at most 3 on a closed surface, whatever the indexing of the
+    triangles.  To keep the order, the maps that share the images of the
+    rows placed before the first one out of index order are sorted as a
+    group before any of them is returned (see ``_search_py``).
     """
     if M.n != M2.n:
         return []
@@ -299,11 +306,18 @@ def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> Extens
     star(x) does, so if they share a vertex y they close up a fan inside
     y's link cycle and are all of star(y); and a map that sends every star
     onto a star is injective and carries each triangle onto its image.
+    The index from the stars of K2 to its vertices is built on the first
+    call for K2 and kept on it.
     """
-    vertex_of = {frozenset(K2.triangles_at(y)): y for y in K2.vertices()}
+    vertex_of = K2._vertex_of_star
+    if vertex_of is None:
+        vertex_of = K2._vertex_of_star = {
+            frozenset(K2.triangles_at(y)): y for y in K2.vertices()
+        }
+    image = f.forward.__getitem__
     vertex_map: dict[str, str] = {}
     for x in K.vertices():
-        y = vertex_of.get(frozenset(f(i) for i in K.triangles_at(x)))
+        y = vertex_of.get(frozenset(map(image, K.triangles_at(x))))
         if y is None:
             return NonExtendable(witness_vertex=x)
         vertex_map[x] = y

@@ -181,6 +181,16 @@ class TestValidation:
         assert report.orientable is True
         assert report.per_vertex_degree == {"a": 3, "b": 3, "c": 3, "d": 3}
 
+    def test_report_is_kept_and_read_only(self):
+        # The report is worked out once per complex and shared by every
+        # caller, so none of them may change it for the others.
+        K = parse_triangulation(TETRA_TEXT)
+        report = validate_closed_surface(K)
+        with pytest.raises(TypeError):
+            report.per_vertex_degree["a"] = 4
+        assert validate_closed_surface(K) == report
+        assert report.per_vertex_degree["a"] == 3
+
     def test_single_triangle_not_closed(self):
         report = validate_closed_surface(parse_triangulation("a b c\n"))
         assert not report.closed

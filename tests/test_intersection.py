@@ -279,6 +279,28 @@ class TestExtension:
             assert (len(maps), extended) == EXTENSION_COUNTS[name]
             assert extended == len(simplicial_automorphisms(K)), name
 
+    def test_validates_each_complex_once(self, tp10, monkeypatch):
+        # A complex keeps its validation report, so extending all 120
+        # preserving maps walks each of the two complexes once.
+        from trimat import complexes
+
+        K, K2 = Triangulation(tp10.triangles), reindexed_relabelled(tp10, 4)
+        real = complexes._is_connected
+        walked = []
+
+        def counting(L):
+            walked.append(L)
+            return real(L)
+
+        monkeypatch.setattr(complexes, "_is_connected", counting)
+        maps = find_intersection_preserving_bijections(
+            intersection_matrix(K), intersection_matrix(K2)
+        )
+        assert len(maps) == 120
+        for g in maps:
+            extend_to_simplicial(K, K2, g)
+        assert len(walked) == 2 and walked[0] is K and walked[1] is K2
+
     def test_rejects_non_preserving_map(self, tp10):
         forward = list(range(10))
         forward[0], forward[5] = 5, 0

@@ -4,8 +4,10 @@ brute-force reference."""
 import random
 from itertools import permutations
 
-from trimat import intersection_matrix, standard
-from trimat._search_py import search_bijections
+import pytest
+
+from trimat import TriangleBijection, intersection_matrix, standard
+from trimat._search_py import _placement_order, search_bijections
 from trimat.intersection import _compatibility
 
 
@@ -61,3 +63,73 @@ class TestKernel:
         assert len(full) == 48
         assert search_bijections(M.entries, M.entries, allowed, 7) == full[:7]
         assert search_bijections(M.entries, M.entries, allowed, 0) == []
+
+
+def reindexed(M, seed):
+    perm = list(range(M.n))
+    random.Random(seed).shuffle(perm)
+    return M.permuted(TriangleBijection(tuple(perm)))
+
+
+class TestPlacementOrder:
+    """Rows are placed in BFS order over the entry-1 graph, so after a
+    reindexing most of them are placed out of index order; the output must
+    still be lexicographic, and ``limit`` must still cut a prefix of it."""
+
+    @pytest.mark.parametrize("name", ["torus7", "tp10"])
+    def test_limit_prefix_from_reindexed_source(self, name):
+        M = intersection_matrix(standard(name))
+        m1, m2 = reindexed(M, 1), reindexed(M, 2)
+        order, _ = _placement_order(m1.entries)
+        assert order != sorted(order)
+        allowed = _compatibility(m1, m2)
+        full = search_bijections(m1.entries, m2.entries, allowed, None)
+        assert full and full == sorted(full)
+        for k in range(len(full) + 1):
+            assert search_bijections(m1.entries, m2.entries, allowed, k) == full[:k]
+
+    def test_no_edge_pairs_first_is_identity(self):
+        # No entry-1 pair: every row is its own component and rows are
+        # placed in index order, so the first of the 9! maps comes out
+        # without the rest being enumerated.
+        n = 9
+        m = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
+        allowed = tuple(tuple(True for _ in range(n)) for _ in range(n))
+        reads = []
+
+        class CountedRows(tuple):
+            def __getitem__(self, j):
+                reads.append(j)
+                return tuple.__getitem__(self, j)
+
+        assert search_bijections(m, CountedRows(m), allowed, 1) == [tuple(range(n))]
+        assert len(reads) < n * n  # one candidate image tried per row
+
+    def test_matches_reference_with_several_components(self):
+        # Entry 1 only inside blocks of rows, so the entry-1 graph has
+        # several components and the search starts at several roots.
+        rng = random.Random(808)
+        n = 7
+        for trial in range(25):
+            block = [rng.randrange(3) for _ in range(n)]
+            m1 = [[2] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    choices = (-1, 0, 1, 1) if block[i] == block[j] else (-1, 0)
+                    m1[i][j] = m1[j][i] = rng.choice(choices)
+            m1 = tuple(map(tuple, m1))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m2 = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    m2[perm[i]][perm[j]] = m1[i][j]
+            m2 = tuple(map(tuple, m2))
+            _, parent = _placement_order(m1)
+            assert parent.count(-1) >= 2, trial
+            allowed = tuple(
+                tuple(sorted(m1[i]) == sorted(m2[j]) for j in range(n))
+                for i in range(n)
+            )
+            got = search_bijections(m1, m2, allowed, None)
+            assert got == reference_search(m1, m2), trial
