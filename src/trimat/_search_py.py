@@ -8,11 +8,17 @@ starts at row 0, and each further component starts at its lowest row not
 yet reached.  A root row tries every allowed image in ascending order.
 Every other row shares an edge with its BFS parent, so its image must be an
 entry-1 neighbour of the parent's image; on a closed surface that leaves at
-most 3 candidates (Weinberg's propagation idea for triangulations).  The
-caller supplies the row-compatibility table (same entry multisets); the
-kernel checks each candidate against every placed row, those that meet it
-before the disjoint ones, since a wrong image often matches a disjoint (-1)
-entry by chance.
+most 3 candidates (Weinberg's propagation idea for triangulations).  Each
+candidate is checked against the placed rows that meet its row (entry >= 0)
+and against no others.
+
+Precondition: m1 and m2 are symmetric, with 2 on the diagonal and no
+negative entry other than -1, and ``allowed`` admits row j of m2 for row i
+of m1 only when the two rows have equal entry multisets.  Then a complete
+bijection g that matches every entry >= 0 also matches the -1 entries:
+the columns g(i) of the rows i that meet row r (r among them) already hold
+as many entries >= 0 as row g(r) has, so the rest of row g(r) is the rest
+of row r, all -1.
 
 The output stays lexicographic without sorting the whole enumeration.
 Let k be the length of the longest prefix of the placement order that is
@@ -75,15 +81,8 @@ def iter_bijections(
     k = next((p for p, r in enumerate(order) if p != r), n)
     neighbours2 = [tuple(j for j in range(n) if row[j] == 1) for row in m2]
     # checks[p]: (earlier row, entry) pairs that the image of the row at
-    # position p is checked against, the rows it meets first.
-    checks = []
-    for p, r in enumerate(order):
-        placed = order[:p]
-        row = m1[r]
-        checks.append(
-            [(i, row[i]) for i in placed if row[i] >= 0]
-            + [(i, row[i]) for i in placed if row[i] < 0]
-        )
+    # position p is checked against: the placed rows that meet it.
+    checks = [[(i, m1[r][i]) for i in order[:p] if m1[r][i] >= 0] for p, r in enumerate(order)]
     image = [0] * n
     used = [False] * n
     group: list[tuple[int, ...]] = []

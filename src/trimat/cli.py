@@ -15,6 +15,7 @@ expected.  All output is deterministic byte-for-byte for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -142,7 +143,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and reused;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trimat",
         description="intersection matrices of surface triangulations",
@@ -202,8 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TrimatError as exc:

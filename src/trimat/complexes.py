@@ -95,6 +95,7 @@ class Triangulation:
         "triangles",
         "_edge_map",
         "_vertex_map",
+        "_vertices",
         "_report",
         "_matrix",
         "_vertex_of_star",
@@ -121,6 +122,7 @@ class Triangulation:
                 vertex_map.setdefault(v, []).append(i)
         self._edge_map = {e: tuple(ix) for e, ix in edge_map.items()}
         self._vertex_map = {v: tuple(ix) for v, ix in vertex_map.items()}
+        self._vertices = tuple(sorted(vertex_map))
         # Derived facts, each set on first use by the function that works
         # it out: validate_closed_surface, intersection.intersection_matrix
         # and intersection._extend.
@@ -155,7 +157,8 @@ class Triangulation:
         return f"Triangulation({self.n} triangles, {len(self.vertices())} vertices)"
 
     def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self._vertex_map))
+        """The vertex labels, sorted."""
+        return self._vertices
 
     def edges(self) -> tuple[frozenset[str], ...]:
         return tuple(self._edge_map)

@@ -101,14 +101,11 @@ class IntersectionMatrix:
         perm(i): entry (perm(i), perm(j)) = entry (i, j)."""
         if perm.n != self.n:
             raise MappingError(f"permutation size {perm.n} != matrix size {self.n}")
-        n = self.n
-        new = [[0] * n for _ in range(n)]
-        for i in range(n):
-            pi = perm(i)
-            row = self.entries[i]
-            for j in range(n):
-                new[pi][perm(j)] = row[j]
-        return IntersectionMatrix(tuple(tuple(r) for r in new))
+        # New row a is old row inv[a] read at the columns inv (itemgetter
+        # of one index returns an entry, not a row).
+        inv = perm.inverse().forward
+        read = itemgetter(*inv) if self.n > 1 else tuple
+        return IntersectionMatrix(tuple(read(self.entries[i]) for i in inv))
 
     def __str__(self) -> str:
         return serialize_matrix(self)

@@ -8,8 +8,12 @@ so the two entry points cannot drift apart.
 
 Counting simplicial automorphisms directly (``simplicial_automorphisms``)
 is deliberately independent of the matrix machinery: it searches vertex
-bijections, not triangle bijections, so the extension-count check compares
-two routes that share no code.
+bijections, not triangle bijections, and calls nothing in
+``intersection``, ``_search_py`` or ``reconstruct``, so the extension-count
+check compares two routes that share no code.  Both searches propagate:
+the matrix route along the dual graph, the vertex route along the
+1-skeleton, where each placed vertex confines its neighbours' images to
+the neighbours of its image.
 """
 
 from __future__ import annotations
@@ -64,44 +68,90 @@ def corpus() -> list[tuple[str, Triangulation]]:
 
 
 def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
-    """All vertex bijections mapping the triangle set onto itself.
+    """All vertex bijections mapping the triangle set onto itself, each
+    keyed in ``K.vertices()`` order, sorted by image sequence.
 
-    Plain backtracking over vertex images with degree pruning; any triangle
-    whose three vertices are all mapped must land on a triangle.  This
-    never looks at intersection matrices.
+    A propagated search over the 1-skeleton.  Such a bijection maps edges
+    onto edges, so vertices are placed in BFS order over the edge graph
+    (from the lowest vertex; each further component from its lowest
+    vertex not yet reached).  A root tries every vertex of its degree; any
+    other vertex may take only an unused vertex of its degree adjacent to
+    the images of all its earlier neighbours.  Once a vertex is placed,
+    each triangle it completes must land on a triangle; when all are
+    placed, the triangles map injectively, hence onto.  The search keeps
+    its own stack and never looks at intersection matrices.
     """
     verts = K.vertices()
-    triangle_sets = {t.vertex_set for t in K.triangles}
-    degree = {v: K.degree(v) for v in verts}
-    out: list[dict[str, str]] = []
-    image: dict[str, str] = {}
-    used: set[str] = set()
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    for edge in K.edges():
+        a, b = (index[v] for v in edge)
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    neighbours = [tuple(sorted(s)) for s in adjacent]
+    degree = [K.degree(v) for v in verts]
+    triangle_sets = {frozenset(index[v] for v in t.vertices) for t in K.triangles}
 
-    def consistent(v: str) -> bool:
-        for i in K.triangles_at(v):
-            t = K.triangles[i].vertex_set
-            if all(u in image for u in t):
-                if frozenset(image[u] for u in t) not in triangle_sets:
-                    return False
-        return True
+    order: list[int] = []
+    position = [-1] * n
+    for root in range(n):
+        if position[root] >= 0:
+            continue
+        position[root] = len(order)
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            for u in neighbours[order[head]]:
+                if position[u] < 0:
+                    position[u] = len(order)
+                    order.append(u)
+            head += 1
+    # earlier[p]: the neighbours placed before the vertex at position p, its
+    # BFS parent first (none for a root); completes[p]: the other two
+    # vertices of each triangle that the vertex at position p completes.
+    earlier = []
+    completes = []
+    for p, v in enumerate(order):
+        before = [u for u in neighbours[v] if position[u] < p]
+        earlier.append(sorted(before, key=position.__getitem__))
+        others = [
+            tuple(index[u] for u in K.triangles[i].vertices if u != verts[v])
+            for i in K.triangles_at(verts[v])
+        ]
+        completes.append([(a, b) for a, b in others if position[a] < p and position[b] < p])
 
-    def place(k: int) -> None:
-        if k == len(verts):
-            out.append(dict(image))
-            return
-        v = verts[k]
-        for w in verts:
-            if w in used or degree[w] != degree[v]:
+    found: list[tuple[int, ...]] = []
+    image = [0] * n
+    used = [False] * n
+    # pending[p]: the images the vertex at position p has not tried yet.
+    pending = [iter(())] * n
+    pending[0] = iter(range(n))
+    depth = 0
+    while depth >= 0:
+        v = order[depth]
+        for w in pending[depth]:
+            if used[w] or degree[w] != degree[v]:
                 continue
-            image[v] = w
-            used.add(w)
-            if consistent(v):
-                place(k + 1)
-            del image[v]
-            used.discard(w)
-
-    place(0)
-    return out
+            if all(w in adjacent[image[u]] for u in earlier[depth]) and all(
+                frozenset((w, image[a], image[b])) in triangle_sets for a, b in completes[depth]
+            ):
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                used[image[order[depth]]] = False
+            continue
+        image[v] = w
+        if depth + 1 == n:
+            found.append(tuple(image))
+            continue
+        used[w] = True
+        depth += 1
+        first = earlier[depth]
+        pending[depth] = iter(neighbours[image[first[0]]] if first else range(n))
+    found.sort()
+    return [{verts[i]: verts[j] for i, j in enumerate(f)} for f in found]
 
 
 # -- the seven corpus checks --------------------------------------------------

@@ -21,7 +21,9 @@ from trimat import (
     TriangleBijection,
     verification,
 )
+from trimat import cli
 from trimat.cli import main
+from trimat.reconstruct import DEFAULT_NODE_CAP
 
 TP10_SWAP_LINE = "5 7 9 6 8 0 2 4 1 3\n"
 
@@ -111,6 +113,22 @@ class TestReconstructCommand:
         code, _, err = run(capsys, "reconstruct", "--node-cap", "10", path)
         assert code == 2
         assert "budget" in err
+
+    def test_node_cap_does_not_carry_over(self, capsys, tmp_path, icosahedron, monkeypatch):
+        # The parser is built once per process; a flag from one call must
+        # not become the default of the next.
+        caps = []
+        real = cli.reconstruct
+
+        def recording(M, node_cap):
+            caps.append(node_cap)
+            return real(M, node_cap=node_cap)
+
+        monkeypatch.setattr(cli, "reconstruct", recording)
+        path = write(tmp_path, "m.imat", serialize_matrix(intersection_matrix(icosahedron)))
+        assert run(capsys, "reconstruct", "--node-cap", "5", path)[0] == 2
+        assert run(capsys, "reconstruct", path)[0] == 0
+        assert caps == [5, DEFAULT_NODE_CAP]
 
     def test_unrealizable_matrix(self, capsys, tmp_path):
         rows = ["6"]
@@ -228,6 +246,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["matrix"])
         assert exc.value.code == 2
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct"])
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "gen", "--name", "tetrahedron")
+        assert code == 0
+        assert out == serialize_triangulation(catalog.standard("tetrahedron"))
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "matrix", "/nonexistent/path.tri")

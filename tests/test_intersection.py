@@ -130,6 +130,20 @@ class TestIntersectionMatrix:
             for j in range(10):
                 assert P[perm(i), perm(j)] == M[i, j]
 
+    def test_permuted_by_a_random_reindexing(self, tp12):
+        # Not an involution, so the inverse and the map itself differ.
+        M = intersection_matrix(tp12)
+        images = list(range(12))
+        random.Random(7).shuffle(images)
+        perm = TriangleBijection(tuple(images))
+        assert perm.inverse() != perm
+        P = M.permuted(perm)
+        for i in range(12):
+            for j in range(12):
+                assert P[perm(i), perm(j)] == M[i, j]
+        one = IntersectionMatrix(((2,),))
+        assert one.permuted(TriangleBijection.identity(1)) == one
+
 
 class TestPreservingCheck:
     def test_identity_preserves(self, corpus):
