@@ -5,20 +5,23 @@ i, j, in lexicographic order of the image sequence.
 
 Rows are placed in BFS order over the entry-1 (dual) graph of m1: the walk
 starts at row 0, and each further component starts at its lowest row not
-yet reached.  A root row tries every allowed image in ascending order.
-Every other row shares an edge with its BFS parent, so its image must be an
-entry-1 neighbour of the parent's image; on a closed surface that leaves at
-most 3 candidates (Weinberg's propagation idea for triangulations).  Each
-candidate is checked against the placed rows that meet its row (entry >= 0)
-and against no others.
+yet reached.  Row r maps only to a row of m2 with the same entry multiset;
+each distinct sorted row is named by a small int, so the test compares
+ints.  A root row tries every such image in ascending order.  Every other
+row shares an edge with its BFS parent, so its image must be an entry-1
+neighbour of the parent's image; on a closed surface that leaves at most 3
+candidates (Weinberg's propagation idea for triangulations).  Each
+candidate is checked against the placed rows that meet its row (entry >=
+0) and against no others.  ``reconstruct._grow`` places triangles in the
+same order and reads the same meeting rows: ``_placement_order`` and
+``_meeting_rows`` are the one plan of both searches.
 
 Precondition: m1 and m2 are symmetric, with 2 on the diagonal and no
-negative entry other than -1, and ``allowed`` admits row j of m2 for row i
-of m1 only when the two rows have equal entry multisets.  Then a complete
-bijection g that matches every entry >= 0 also matches the -1 entries:
-the columns g(i) of the rows i that meet row r (r among them) already hold
-as many entries >= 0 as row g(r) has, so the rest of row g(r) is the rest
-of row r, all -1.
+negative entry other than -1.  The kernel enforces the rule on entry
+multisets itself, and with it a complete bijection g that matches every
+entry >= 0 also matches the -1 entries: the columns g(i) of the rows i
+that meet row r (r among them) already hold as many entries >= 0 as row
+g(r) has, so the rest of row g(r) is the rest of row r, all -1.
 
 The output stays lexicographic without sorting the whole enumeration.
 Let k be the length of the longest prefix of the placement order that is
@@ -65,10 +68,18 @@ def _placement_order(m1: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[i
     return order, parent
 
 
+def _meeting_rows(
+    m: tuple[tuple[int, ...], ...], order: list[int]
+) -> list[list[tuple[int, int]]]:
+    """For each position p of ``order``, the (earlier row, entry) pairs of
+    the rows placed before ``order[p]`` that meet it (entry >= 0), in
+    placement order."""
+    return [[(i, m[r][i]) for i in order[:p] if m[r][i] >= 0] for p, r in enumerate(order)]
+
+
 def iter_bijections(
     m1: tuple[tuple[int, ...], ...],
     m2: tuple[tuple[int, ...], ...],
-    allowed: tuple[tuple[bool, ...], ...],
 ) -> Iterator[tuple[int, ...]]:
     n = len(m1)
     if n != len(m2):
@@ -80,9 +91,10 @@ def iter_bijections(
     # Rows 0..k-1 are placed first, in index order.
     k = next((p for p, r in enumerate(order) if p != r), n)
     neighbours2 = [tuple(j for j in range(n) if row[j] == 1) for row in m2]
-    # checks[p]: (earlier row, entry) pairs that the image of the row at
-    # position p is checked against: the placed rows that meet it.
-    checks = [[(i, m1[r][i]) for i in order[:p] if m1[r][i] >= 0] for p, r in enumerate(order)]
+    ids: dict[tuple[int, ...], int] = {}
+    sig1 = [ids.setdefault(tuple(sorted(row)), len(ids)) for row in m1]
+    sig2 = [ids.setdefault(tuple(sorted(row)), len(ids)) for row in m2]
+    checks = _meeting_rows(m1, order)
     image = [0] * n
     used = [False] * n
     group: list[tuple[int, ...]] = []
@@ -94,9 +106,9 @@ def iter_bijections(
     depth = 0
     while depth >= 0:
         r = order[depth]
-        ok = allowed[r]
+        sig = sig1[r]
         for j in pending[depth]:
-            if used[j] or not ok[j]:
+            if used[j] or sig2[j] != sig:
                 continue
             col_j = m2[j]
             for i, v in checks[depth]:
@@ -129,10 +141,9 @@ def iter_bijections(
 def search_bijections(
     m1: tuple[tuple[int, ...], ...],
     m2: tuple[tuple[int, ...], ...],
-    allowed: tuple[tuple[bool, ...], ...],
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
     """All bijections, or the first ``limit`` of them, as a list."""
     if limit is not None and limit <= 0:
         return []
-    return list(islice(iter_bijections(m1, m2, allowed), limit))
+    return list(islice(iter_bijections(m1, m2), limit))

@@ -290,37 +290,38 @@ def _link_cycle(K: Triangulation, v: str) -> tuple[int, ...] | None:
 
 
 def _oriented_consistently(K: Triangulation) -> bool:
-    """Propagate triangle orientations across shared edges; True when no
-    contradiction arises.  Assumes every edge lies in at most 2 triangles."""
-    orientation: dict[int, tuple[str, str, str]] = {}
+    """Whether the triangles can be oriented so that every two that share
+    an edge run it in opposite directions.
 
-    def directed(t: tuple[str, str, str]) -> set[tuple[str, str]]:
-        a, b, c = t
-        return {(a, b), (b, c), (c, a)}
-
+    A triangle with sorted vertices (a, b, c), unflipped, runs a -> b -> c,
+    so it runs an edge upward exactly when the edge holds b.  ``flip[i]``
+    says whether triangle i runs the other way, and triangles i and j on a
+    shared edge e run it oppositely exactly when
+    flip[j] = ((b_i in e) == (b_j in e)) != flip[i].  The bits spread from
+    each triangle not yet reached; a clash returns False.  Assumes every
+    edge lies in at most 2 triangles; an edge in one triangle constrains
+    nothing.
+    """
+    flip: list[bool | None] = [None] * K.n
     for seed in range(K.n):
-        if seed in orientation:
+        if flip[seed] is not None:
             continue
-        orientation[seed] = K.triangles[seed].vertices
+        flip[seed] = False
         todo = [seed]
         while todo:
             i = todo.pop()
-            edges_i = directed(orientation[i])
-            for e in K.triangles[i].edges():
+            t = K.triangles[i]
+            b_i = t.vertices[1]
+            for e in t.edges():
                 pair = K.triangles_on(e)
                 if len(pair) != 2:
                     continue
                 j = pair[0] if pair[1] == i else pair[1]
-                u, w = sorted(e)
-                # Consistent neighbours traverse the shared edge oppositely.
-                want_uw = (w, u) in edges_i
-                tj = K.triangles[j].vertices
-                (z,) = set(tj) - e
-                oriented_j = (u, w, z) if want_uw else (w, u, z)
-                if j not in orientation:
-                    orientation[j] = oriented_j
+                want = ((b_i in e) == (K.triangles[j].vertices[1] in e)) != flip[i]
+                if flip[j] is None:
+                    flip[j] = want
                     todo.append(j)
-                elif directed(orientation[j]) != directed(oriented_j):
+                elif flip[j] != want:
                     return False
     return True
 

@@ -91,11 +91,6 @@ class IntersectionMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def row_signature(self, i: int) -> tuple[int, ...]:
-        """Sorted row entries; equal signatures are necessary for two rows
-        to correspond under any preserving bijection."""
-        return tuple(sorted(self.entries[i]))
-
     def permuted(self, perm: "TriangleBijection") -> "IntersectionMatrix":
         """The matrix of the same complex with triangle i renumbered to
         perm(i): entry (perm(i), perm(j)) = entry (i, j)."""
@@ -181,15 +176,6 @@ def is_intersection_preserving(
     return all(through_f(M2[fi]) == row for fi, row in zip(f.forward, M))
 
 
-def _compatibility(m1: IntersectionMatrix, m2: IntersectionMatrix) -> tuple[tuple[bool, ...], ...]:
-    # Each distinct row signature is sorted once and named by a small int,
-    # so the n x n table compares ints instead of re-sorting rows.
-    ids: dict[tuple[int, ...], int] = {}
-    sig1 = [ids.setdefault(m1.row_signature(i), len(ids)) for i in range(m1.n)]
-    sig2 = [ids.setdefault(m2.row_signature(j), len(ids)) for j in range(m2.n)]
-    return tuple(tuple(s == t for t in sig2) for s in sig1)
-
-
 def find_intersection_preserving_bijections(
     M: IntersectionMatrix,
     M2: IntersectionMatrix,
@@ -199,21 +185,21 @@ def find_intersection_preserving_bijections(
 
     Returns the empty list when none exist (in particular when the sizes
     differ).  ``limit`` truncates the output to the first ``limit``
-    bijections in lexicographic order of the image sequence.  Rows are
-    matched only when their entry multisets agree, which prunes most of
-    the search tree up front.  The search places rows in BFS order over
-    the entry-1 (dual) graph of M, so each row after the first of its
-    component maps to one of the entry-1 neighbours of its BFS parent's
-    image, at most 3 on a closed surface, whatever the indexing of the
-    triangles.  To keep the order, the maps that share the images of the
-    rows placed before the first one out of index order are sorted as a
-    group before any of them is returned (see ``_search_py``).
+    bijections in lexicographic order of the image sequence.  The search
+    kernel matches rows only when their entry multisets agree, a rule it
+    enforces itself, which is why it checks each row against the rows
+    that meet it and no others.  It places rows in BFS order over the
+    entry-1 (dual) graph of M, the plan that reconstruction also reads, so
+    each row after the first of its component maps to one of the entry-1
+    neighbours of its BFS parent's image, at most 3 on a closed surface,
+    whatever the indexing of the triangles.  To keep the order, the maps
+    that share the images of the rows placed before the first one out of
+    index order are sorted as a group before any of them is returned (see
+    ``_search_py``).
     """
     if M.n != M2.n:
         return []
-    images = search_bijections(
-        M.entries, M2.entries, _compatibility(M, M2), limit
-    )
+    images = search_bijections(M.entries, M2.entries, limit)
     return [TriangleBijection(img) for img in images]
 
 
@@ -288,7 +274,7 @@ def _extensions(
     if K.n != K2.n:
         return
     M, M2 = intersection_matrix(K), intersection_matrix(K2)
-    for image in iter_bijections(M.entries, M2.entries, _compatibility(M, M2)):
+    for image in iter_bijections(M.entries, M2.entries):
         f = TriangleBijection(image)
         yield f, _extend(K, K2, f)
 

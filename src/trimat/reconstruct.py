@@ -18,7 +18,9 @@ many vertices with v.  A candidate is kept only if it shares exactly
 M[v][w] + 1 vertices with every placed w; the placed triangles at each
 vertex give these counts without a scan over all rows.  So a wrong guess
 dies at once, and the cost does not depend on the index order of the
-input.
+input.  The placement order, with each row's BFS parent, and the placed
+rows that each row meets come from ``_search_py._placement_order`` and
+``_search_py._meeting_rows``: the bijection kernel walks the same plan.
 
 Two rules keep each labelled solution from coming out more than once.
 The vertices of the root are interchangeable, so its first child is only
@@ -55,6 +57,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import catalog
+from ._search_py import _meeting_rows, _placement_order
 from .complexes import Triangle, Triangulation, validate_closed_surface
 from .errors import BudgetExceededError, PatternError, ReconstructionError
 from .intersection import (
@@ -143,20 +146,12 @@ def _grow(
     """
     n = M.n
     want = M.entries
-    if n == 0:
-        return
-    order = [0]
-    parent = [-1] * n
-    for u in order:
-        for v, value in enumerate(want[u]):
-            if value == 1 and v and parent[v] < 0:
-                parent[v] = u
-                order.append(v)
-    if len(order) != n:
-        return
-    # meets[k]: the triangles placed before order[k] that share a vertex
-    # with it, in placement order.
-    meets = [[w for w in order[:k] if want[v][w] >= 0] for k, v in enumerate(order)]
+    order, parent = _placement_order(want)
+    if parent.count(-1) != 1:
+        return  # no rows, or the entry-1 graph is not connected
+    # meets[k]: the (placed triangle, entry) pairs of the triangles placed
+    # before order[k] that share a vertex with it, in placement order.
+    meets = _meeting_rows(want, order)
     # tri[v]: the vertices of placed triangle v; the root, row 0, is (0, 1, 2).
     tri: list[tuple[int, int, int]] = [(0, 1, 2)] * n
     # at[x]: the placed triangles holding vertex x; len(at) is the next
@@ -172,20 +167,18 @@ def _grow(
         for x in t:
             for w in at[x] if x < len(at) else ():
                 count[w] = count.get(w, 0) + 1
-        row = want[order[k]]
         return len(count) == len(meets[k]) and all(
-            row[w] + 1 == c for w, c in count.items()
+            count.get(w) == value + 1 for w, value in meets[k]
         )
 
     def candidates(k: int) -> list[tuple[int, int, int]]:
-        row = want[order[k]]
         p0, p1, p2 = tri[parent[order[k]]]
         out = []
         for a, b in ((p0, p1),) if k == 1 else ((p0, p1), (p0, p2), (p1, p2)):
             apexes = [len(at)]
-            for w in meets[k]:
+            for w, value in meets[k]:
                 t = tri[w]
-                need = row[w] + 1 - (a in t) - (b in t)
+                need = value + 1 - (a in t) - (b in t)
                 if need:
                     apexes = [x for x in t if x not in (a, b)] if need == 1 else []
                     break
@@ -272,7 +265,7 @@ def reconstruct(
     BudgetExceededError when the search places more than ``node_cap``
     candidate triangles.
     """
-    _check_preconditions(M)
+    ambiguity = detect_exceptional(M)  # checks M's row conditions first
     built = (_build(tri, M.entries) for tri in _grow(M, node_cap))
     solutions = (K for K in built if K is not None)
     first = next(solutions, None)
@@ -286,6 +279,6 @@ def reconstruct(
         all_iso = all(isomorphic(first, other) for other in solutions)
     return ReconstructionResult(
         complex=first,
-        ambiguity=detect_exceptional(M),
+        ambiguity=ambiguity,
         all_solutions_isomorphic=all_iso,
     )

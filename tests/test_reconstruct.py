@@ -1,5 +1,6 @@
 """Reconstruction from bare matrices and exceptional-matrix detection."""
 
+import importlib
 import random
 
 import pytest
@@ -15,8 +16,10 @@ from trimat import (
     isomorphic,
     moebius5,
     reconstruct,
+    standard,
     validate_closed_surface,
 )
+from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
 
 
 def unrealizable_6x6():
@@ -36,6 +39,15 @@ def unrealizable_6x6():
                 row.append(0)
         rows.append(tuple(row))
     return IntersectionMatrix(tuple(rows))
+
+
+def two_tetrahedra():
+    """Two disjoint tetrahedra: three 1s in every row, but the entry-1
+    graph has two components."""
+    T = intersection_matrix(standard("tetrahedron")).entries
+    return IntersectionMatrix(
+        tuple(row + (-1,) * 4 for row in T) + tuple((-1,) * 4 + row for row in T)
+    )
 
 
 # Three 1s per row, but rows 0, 2 and 5 are one triangle three times.
@@ -89,6 +101,18 @@ class TestReconstruct:
         )
         assert result.all_solutions_isomorphic is None
 
+    def test_checks_the_matrix_once(self, corpus, monkeypatch):
+        module = importlib.import_module("trimat.reconstruct")
+        check = module._check_preconditions
+        calls = []
+        monkeypatch.setattr(
+            module, "_check_preconditions", lambda M: (calls.append(M), check(M))
+        )
+        for name, K in corpus:
+            calls.clear()
+            reconstruct(intersection_matrix(K))
+            assert len(calls) == 1, name
+
     def test_permutation_invariance(self, corpus):
         rng = random.Random(404)
         for name, K in corpus:
@@ -128,6 +152,16 @@ class TestReconstructErrors:
     def test_no_solution(self):
         with pytest.raises(ReconstructionError):
             reconstruct(unrealizable_6x6())
+
+    def test_disconnected_dual_graph(self):
+        M = two_tetrahedra()
+        assert list(_grow(M, DEFAULT_NODE_CAP)) == []
+        with pytest.raises(ReconstructionError):
+            reconstruct(M)
+        # Two rows that are one triangle and no entry 1: placing (0, 1, 2)
+        # twice reproduces every entry, but the entry-1 graph has two
+        # components, so the growth search yields nothing.
+        assert list(_grow(IntersectionMatrix(((2, 2), (2, 2))), DEFAULT_NODE_CAP)) == []
 
     def test_budget(self, icosahedron):
         with pytest.raises(BudgetExceededError):

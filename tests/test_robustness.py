@@ -18,11 +18,13 @@ from trimat import (
     find_intersection_preserving_bijections,
     intersection_matrix,
     isomorphic,
+    orientability,
     reconstruct,
     serialize_matrix,
     standard,
     validate_closed_surface,
 )
+from trimat.catalog import CLOSED_SURFACES, entry
 from trimat.cli import main
 
 
@@ -191,3 +193,41 @@ class TestAdversarialMatrices:
                 assert result.all_solutions_isomorphic is True
         assert realized + rejected == 30
         assert rejected > 0  # most random patterns are not surfaces
+
+
+def orientable_by_definition(K: Triangulation) -> bool:
+    """Whether some choice of triangle orientations uses every directed
+    edge once.  Triangle 0 keeps the cyclic order of its sorted vertices;
+    each other one is tried both ways, one bit of ``choice`` each."""
+    for choice in range(2 ** (K.n - 1)):
+        used: set[tuple[str, str]] = set()
+        for i, (a, b, c) in enumerate(t.vertices for t in K.triangles):
+            if i and choice >> (i - 1) & 1:
+                run = {(b, a), (c, b), (a, c)}
+            else:
+                run = {(a, b), (b, c), (c, a)}
+            if used & run:
+                break
+            used |= run
+        else:
+            return True
+    return False
+
+
+class TestOrientabilityByDefinition:
+    """``orientability`` reads, for each shared edge, whether it holds the
+    middle vertex of each sorted triangle on it.  Reindexed, relabelled
+    copies and subdivisions change those answers, which the catalog
+    labellings alone would leave fixed."""
+
+    @pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "torus7", "tp10", "tp12"])
+    def test_matches_brute_force(self, name):
+        K = standard(name)
+        assert orientable_by_definition(K) == entry(name).orientable
+        for seed in range(3):
+            copy = reindexed_relabelled(K, seed)
+            assert orientability(copy) == orientable_by_definition(copy), seed
+
+    @pytest.mark.parametrize("name", CLOSED_SURFACES)
+    def test_subdivision_keeps_verdict(self, name):
+        assert orientability(subdivide(standard(name))) == entry(name).orientable
