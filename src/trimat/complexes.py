@@ -48,7 +48,8 @@ __all__ = [
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise ValueError(f"vertex label must be a non-empty string, got {label!r}")
-    if any(c.isspace() for c in label):
+    # str.split() cuts at exactly the characters str.isspace() accepts.
+    if label.split() != [label]:
         raise ValueError(f"vertex label may not contain whitespace: {label!r}")
     return label
 
@@ -65,6 +66,15 @@ class Triangle:
             raise ValueError(f"a triangle needs exactly 3 distinct vertices, got {vs!r}")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "_vset", frozenset(vs))
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, str, str]) -> "Triangle":
+        """A triangle from three distinct valid labels, already sorted,
+        that the library made itself; the labels are not re-checked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "vertices", vertices)
+        object.__setattr__(t, "_vset", frozenset(vertices))
+        return t
 
     @property
     def vertex_set(self) -> frozenset[str]:

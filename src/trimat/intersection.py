@@ -3,8 +3,11 @@
 The intersection matrix of a triangulation with triangles s_0..s_(n-1) has
 entry (i, j) equal to the dimension of s_i ∩ s_j as a simplex: -1 for
 disjoint triangles, 0 for a shared vertex, 1 for a shared edge, 2 on the
-diagonal.  Equivalently, entry = |shared vertices| - 1, which is how it is
-computed here.
+diagonal.  Equivalently, entry = |shared vertices| - 1.  It is computed
+from the complex's vertex index: each row starts at -1 and gains 1 for
+every vertex of its triangle that the other triangle also holds.  That is
+O(n·d) counting steps for n triangles of vertex degree at most d, on top
+of filling the dense rows, instead of n² set intersections.
 
 A triangle bijection between two complexes of equal size preserves
 intersections when it preserves every matrix entry.  Such a bijection may
@@ -12,12 +15,14 @@ or may not be induced by a vertex map.  On a closed surface a vertex is
 known by its star, the set of triangles that contain it, so
 ``extend_to_simplicial`` maps each vertex x to the vertex whose star is
 the image of x's star, and the bijection extends exactly when every such
-image is a star.  ``isomorphic`` decides whether two surfaces are
-simplicially isomorphic by walking the preserving bijections lazily until
-one extends.  The extension counts of the corpus checks (``verification``)
-share that walk, ``_extensions``, and read it to the end; it leaves
-validation to its callers, which validate each complex once, not once per
-map.
+image is a star.  A map that extends is induced by a vertex bijection and
+so preserves every entry: the extension certifies preservation, and only a
+map that does not extend is checked entry by entry.  ``isomorphic``
+decides whether two surfaces are simplicially isomorphic by walking the
+preserving bijections lazily until one extends.  The extension counts of
+the corpus checks (``verification``) share that walk, ``_extensions``,
+and read it to the end; it leaves validation to its callers, which
+validate each complex once, not once per map.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -62,9 +67,22 @@ def intersection_dim(t1: Triangle, t2: Triangle) -> int:
 
 @dataclass(frozen=True)
 class IntersectionMatrix:
-    """Symmetric n x n matrix over {-1, 0, 1, 2} with diagonal 2."""
+    """Symmetric n x n matrix over {-1, 0, 1, 2} with diagonal 2.
+
+    The constructor validates every entry, for matrices that callers build
+    and for ``parse_matrix``.  The matrices the library makes itself are
+    correct by construction and skip that check: ``intersection_matrix``
+    and ``permuted`` build them through ``_trusted``.
+    """
 
     entries: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntersectionMatrix":
+        """A matrix whose entries are known to be valid, not re-checked."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "entries", entries)
+        return M
 
     def __post_init__(self) -> None:
         n = len(self.entries)
@@ -100,7 +118,7 @@ class IntersectionMatrix:
         # of one index returns an entry, not a row).
         inv = perm.inverse().forward
         read = itemgetter(*inv) if self.n > 1 else tuple
-        return IntersectionMatrix(tuple(read(self.entries[i]) for i in inv))
+        return IntersectionMatrix._trusted(tuple(read(self.entries[i]) for i in inv))
 
     def __str__(self) -> str:
         return serialize_matrix(self)
@@ -109,21 +127,40 @@ class IntersectionMatrix:
 def intersection_matrix(K: Triangulation) -> IntersectionMatrix:
     """Matrix of pairwise intersection dimensions in triangle index order.
 
-    Worked out on the first call for a complex and kept on it.
+    Row i starts at -1, and each vertex of triangle i adds 1 at the column
+    of every triangle in its star, so entry (i, j) ends at |s_i ∩ s_j| - 1
+    and the diagonal at 2.  Worked out on the first call for a complex and
+    kept on it.
     """
     if K._matrix is None:
-        sets = [t.vertex_set for t in K.triangles]
-        K._matrix = IntersectionMatrix(
-            tuple(tuple(len(si & sj) - 1 for sj in sets) for si in sets)
-        )
+        rows = []
+        for t in K.triangles:
+            row = [-1] * K.n
+            for v in t.vertices:
+                for j in K.triangles_at(v):
+                    row[j] += 1
+            rows.append(tuple(row))
+        K._matrix = IntersectionMatrix._trusted(tuple(rows))
     return K._matrix
 
 
 @dataclass(frozen=True)
 class TriangleBijection:
-    """A bijection of triangle index sets, stored as the image sequence."""
+    """A bijection of triangle index sets, stored as the image sequence.
+
+    The constructor checks that the images are a permutation.  The maps the
+    search kernel yields, and inverses and compositions of valid maps, are
+    permutations by construction and skip that check through ``_trusted``.
+    """
 
     forward: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, forward: tuple[int, ...]) -> "TriangleBijection":
+        """A bijection known to be a permutation, not re-checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "forward", forward)
+        return f
 
     def __post_init__(self) -> None:
         n = len(self.forward)
@@ -148,13 +185,13 @@ class TriangleBijection:
         inv = [0] * self.n
         for i, j in enumerate(self.forward):
             inv[j] = i
-        return TriangleBijection(tuple(inv))
+        return TriangleBijection._trusted(tuple(inv))
 
     def compose(self, first: "TriangleBijection") -> "TriangleBijection":
         """self ∘ first: apply ``first``, then ``self``."""
         if first.n != self.n:
             raise MappingError(f"cannot compose sizes {first.n} and {self.n}")
-        return TriangleBijection(tuple(self.forward[j] for j in first.forward))
+        return TriangleBijection._trusted(tuple(self.forward[j] for j in first.forward))
 
     def __str__(self) -> str:
         return serialize_bijection(self).rstrip("\n")
@@ -165,15 +202,19 @@ def is_intersection_preserving(
 ) -> bool:
     """True iff dim(s_i ∩ s_j) = dim(f(s_i) ∩ f(s_j)) for every pair,
     that is, iff row f(i) of K2's matrix, read through f, is row i of K's."""
-    if K.n != K2.n:
-        raise MappingError(f"complex sizes differ: {K.n} vs {K2.n}")
-    if f.n != K.n:
-        raise MappingError(f"bijection size {f.n} does not match complexes of size {K.n}")
+    _check_sizes(K, K2, f)
     if f.n == 1:
         return True  # itemgetter of one index returns an entry, not a row
     M, M2 = intersection_matrix(K).entries, intersection_matrix(K2).entries
     through_f = itemgetter(*f.forward)
     return all(through_f(M2[fi]) == row for fi, row in zip(f.forward, M))
+
+
+def _check_sizes(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> None:
+    if K.n != K2.n:
+        raise MappingError(f"complex sizes differ: {K.n} vs {K2.n}")
+    if f.n != K.n:
+        raise MappingError(f"bijection size {f.n} does not match complexes of size {K.n}")
 
 
 def find_intersection_preserving_bijections(
@@ -200,7 +241,7 @@ def find_intersection_preserving_bijections(
     if M.n != M2.n:
         return []
     images = search_bijections(M.entries, M2.entries, limit)
-    return [TriangleBijection(img) for img in images]
+    return [TriangleBijection._trusted(img) for img in images]
 
 
 # -- extension of a triangle bijection to a vertex map -----------------------
@@ -235,14 +276,23 @@ def extend_to_simplicial(
     contain it.  The map extends exactly when f carries the star of every
     vertex x onto the star of some vertex y, and then x maps to y.
 
-    Raises MappingError if f is not intersection preserving and
-    SurfaceError if either complex is not a connected closed surface.
+    An extension is its own certificate of preservation: the vertex map φ
+    it returns is a bijection with f(t) = φ(t) for every triangle t (see
+    ``_extend``), so |f(s) ∩ f(t)| = |s ∩ t| for every pair.  So the
+    entry-by-entry check runs only when f does not extend, to tell a
+    non-extendable preserving map from one that preserves nothing.
+
+    Raises MappingError if the sizes differ or f does not extend and is
+    not intersection preserving, and SurfaceError if either complex is not
+    a connected closed surface.
     """
     _require_closed_surface(K, "the first complex")
     _require_closed_surface(K2, "the second complex")
-    if not is_intersection_preserving(K, K2, f):
+    _check_sizes(K, K2, f)
+    result = _extend(K, K2, f)
+    if isinstance(result, NonExtendable) and not is_intersection_preserving(K, K2, f):
         raise MappingError("bijection is not intersection preserving")
-    return _extend(K, K2, f)
+    return result
 
 
 def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
@@ -275,22 +325,25 @@ def _extensions(
         return
     M, M2 = intersection_matrix(K), intersection_matrix(K2)
     for image in iter_bijections(M.entries, M2.entries):
-        f = TriangleBijection(image)
+        f = TriangleBijection._trusted(image)
         yield f, _extend(K, K2, f)
 
 
 def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> ExtensionResult:
     """The vertex-map construction of ``extend_to_simplicial``, for callers
-    that have validated both complexes and hold a preserving f.
+    that have validated both complexes and hold an f of their size.
 
     On a closed surface a vertex is known by its star, so x maps to the
     vertex of K2 whose star is f(star(x)), and the map extends exactly when
-    every such image is a star.  The images of star(x) pairwise meet as
-    star(x) does, so if they share a vertex y they close up a fan inside
-    y's link cycle and are all of star(y); and a map that sends every star
-    onto a star is injective and carries each triangle onto its image.
-    The index from the stars of K2 to its vertices is built on the first
-    call for K2 and kept on it.
+    every such image is a star.  For a preserving f, the images of star(x)
+    pairwise meet as star(x) does, so if they share a vertex y they close
+    up a fan inside y's link cycle and are all of star(y).  For any f, a
+    map φ that sends every star onto a star is injective, since distinct
+    vertices have distinct stars; the image f(t) of a triangle t lies in
+    the stars of the three images of t's vertices, so f(t) = φ(t), and as
+    f is onto, so is φ.  That is the certificate ``extend_to_simplicial``
+    trusts.  The index from the stars of K2 to its vertices is built on
+    the first call for K2 and kept on it.
     """
     vertex_of = K2._vertex_of_star
     if vertex_of is None:

@@ -229,14 +229,15 @@ def _build(
 ) -> Triangulation | None:
     """The complex with vertices relabelled v0, v1, ... in order of first
     appearance by triangle index, or None unless it is a closed surface
-    whose matrix is ``want``."""
+    whose matrix is ``want``.  The placement's triples hold three distinct
+    vertices, so its triangles skip the label checks."""
     label: dict[int, str] = {}
     triangles = []
     for t in tri:
         for x in t:
             if x not in label:
                 label[x] = f"v{len(label)}"
-        triangles.append(Triangle(label[x] for x in t))
+        triangles.append(Triangle._trusted(tuple(sorted(label[x] for x in t))))
     K = Triangulation(triangles)
     if not validate_closed_surface(K).is_closed_surface:
         return None

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from trimat import (
     catalog,
     disk,
+    find_intersection_preserving_bijections,
     intersection_matrix,
+    is_intersection_preserving,
     parse_matrix,
     parse_triangulation,
     serialize_bijection,
@@ -24,6 +26,8 @@ from trimat import (
 from trimat import cli
 from trimat.cli import main
 from trimat.reconstruct import DEFAULT_NODE_CAP
+
+from test_robustness import reindexed_relabelled
 
 TP10_SWAP_LINE = "5 7 9 6 8 0 2 4 1 3\n"
 
@@ -192,6 +196,51 @@ class TestMapCommands:
         code, out, _ = run(capsys, "extend", k, k, b)
         assert code == 1
         assert out.strip() == "NonExtendable: witness=a0"
+
+    def test_extend_exit_codes_on_every_preserving_map(self, capsys, tmp_path, tp10):
+        # Arbitrary bytes rarely spell a preserving map, so the kernel
+        # supplies all 120 from tp10 to a reindexed, relabelled copy.
+        copy = reindexed_relabelled(tp10, 6)
+        k = write(tmp_path, "k.tri", serialize_triangulation(tp10))
+        k2 = write(tmp_path, "k2.tri", serialize_triangulation(copy))
+        maps = find_intersection_preserving_bijections(
+            intersection_matrix(tp10), intersection_matrix(copy)
+        )
+        codes = []
+        for g in maps:
+            b = write(tmp_path, "f.txt", serialize_bijection(g))
+            codes.append(run(capsys, "extend", k, k2, b)[0])
+        assert (len(codes), codes.count(0), codes.count(1)) == (120, 60, 60)
+        # Swapping two images of the first map breaks preservation.
+        images = list(maps[0].forward)
+        images[0], images[5] = images[5], images[0]
+        f = TriangleBijection(tuple(images))
+        assert not is_intersection_preserving(tp10, copy, f)
+        b = write(tmp_path, "f.txt", serialize_bijection(f))
+        code, out, err = run(capsys, "extend", k, k2, b)
+        assert (code, out) == (2, "")
+        assert "not intersection preserving" in err
+
+
+class TestInputValidation:
+    """Matrices and maps read from files are checked in full; only the ones
+    the library makes itself skip the check."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2\n2 1\n0 2\n", "2\n1 0\n0 2\n", "2\n2 5\n5 2\n"],
+        ids=["asymmetric", "bad-diagonal", "out-of-range"],
+    )
+    def test_reconstruct_rejects_invalid_matrix(self, capsys, tmp_path, text):
+        code, out, err = run(capsys, "reconstruct", write(tmp_path, "m.imat", text))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_extend_rejects_non_permutation(self, capsys, tmp_path, tetrahedron):
+        k = write(tmp_path, "k.tri", serialize_triangulation(tetrahedron))
+        b = write(tmp_path, "f.txt", "0 1 2 2\n")
+        code, out, _ = run(capsys, "extend", k, k, b)
+        assert (code, out) == (2, "")
 
 
 class TestClassifyLink:

@@ -92,8 +92,26 @@ class TestTriangle:
             Triangle(("a b", "c", "d"))
 
     def test_rejects_empty_label(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty"):
             Triangle(("", "c", "d"))
+
+    @pytest.mark.parametrize(
+        "label", ["a\x1cb", "a\x85", "\xa0a", "a\u2003b", " a", "a ", "a\tb", "a\nb"]
+    )
+    def test_rejects_unicode_whitespace(self, label):
+        with pytest.raises(ValueError, match="whitespace"):
+            Triangle((label, "c", "d"))
+
+    def test_whitespace_is_what_isspace_says(self):
+        # Every character str.isspace() accepts lies below U+3100; a label
+        # holding one is rejected, and a label of any other is kept.
+        for c in map(chr, range(0x3100)):
+            label = f"a{c}b"
+            if c.isspace():
+                with pytest.raises(ValueError, match="whitespace"):
+                    Triangle((label, "c", "d"))
+            else:
+                assert label in Triangle((label, "c", "d")).vertices
 
     def test_edges(self):
         t = Triangle(("a", "b", "c"))

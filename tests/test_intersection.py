@@ -22,12 +22,17 @@ from trimat import (
     intersection_matrix,
     is_intersection_preserving,
     isomorphic,
+    moebius5,
+    moebius6,
     parse_bijection,
     parse_matrix,
     serialize_bijection,
     serialize_matrix,
+    standard,
 )
 from trimat.verification import simplicial_automorphisms
+
+from test_robustness import subdivide
 
 # The swap self-map of tp10 exchanging the fan 5-cycle around x with the
 # band 5-cycle of the r-triangles: g(s_i) = r_(2i mod 5), g(r_i) = s_(2i mod 5).
@@ -122,6 +127,14 @@ class TestIntersectionMatrix:
         with pytest.raises(ValueError):
             IntersectionMatrix(((1, 0), (0, 2)))
 
+    def test_validation_rejects_out_of_range_and_ragged_rows(self):
+        with pytest.raises(ValueError):
+            IntersectionMatrix(((2, 3), (3, 2)))
+        with pytest.raises(ValueError):
+            IntersectionMatrix(((2, -2), (-2, 2)))
+        with pytest.raises(ValueError):
+            IntersectionMatrix(((2, 1), (1,)))
+
     def test_permuted_reindexes(self, tp10):
         M = intersection_matrix(tp10)
         perm = TriangleBijection(tuple(reversed(range(10))))
@@ -143,6 +156,46 @@ class TestIntersectionMatrix:
                 assert P[perm(i), perm(j)] == M[i, j]
         one = IntersectionMatrix(((2,),))
         assert one.permuted(TriangleBijection.identity(1)) == one
+
+
+def matrix_by_definition(K):
+    """The pairwise intersection dimensions, one triangle pair at a time."""
+    return tuple(tuple(intersection_dim(s, t) for t in K.triangles) for s in K.triangles)
+
+
+class TestMatrixConstruction:
+    """``intersection_matrix`` counts shared vertices through the vertex
+    index and skips the constructor's validation, as ``permuted`` does.
+    Both must give what the definition and the validating constructor
+    give."""
+
+    @staticmethod
+    def complexes(corpus):
+        out = []
+        for seed, (name, K) in enumerate(corpus):
+            once = subdivide(K)
+            out += [(name, K), (f"{name}/1", once), (f"{name}/2", subdivide(once))]
+            out += [(f"{name}~", reindexed_relabelled(K, seed))]
+            out += [(f"{name}/1~", reindexed_relabelled(once, seed))]
+        return out + [("disk_fan", disk_fan(5)), ("moebius5", moebius5()), ("moebius6", moebius6())]
+
+    def test_matches_definition_and_validates(self, corpus):
+        for name, K in self.complexes(corpus):
+            M = intersection_matrix(K)
+            assert M.entries == matrix_by_definition(K), name
+            assert IntersectionMatrix(M.entries) == M, name
+
+    def test_permuted_is_the_reindexed_complex(self, corpus):
+        rng = random.Random(3)
+        for name, K in self.complexes(corpus):
+            perm = TriangleBijection(tuple(rng.sample(range(K.n), K.n)))
+            P = intersection_matrix(K).permuted(perm)
+            # Triangle i of K is triangle perm(i) of the reindexed copy.
+            moved = [None] * K.n
+            for i, t in enumerate(K.triangles):
+                moved[perm(i)] = t
+            assert P == intersection_matrix(Triangulation(moved)), name
+            assert IntersectionMatrix(P.entries) == P, name
 
 
 class TestPreservingCheck:
@@ -326,6 +379,63 @@ class TestExtension:
         with pytest.raises(SurfaceError):
             extend_to_simplicial(fan, fan, TriangleBijection.identity(5))
 
+    def test_rejects_size_mismatch(self, tetrahedron, octahedron):
+        with pytest.raises(MappingError):
+            extend_to_simplicial(tetrahedron, octahedron, TriangleBijection.identity(4))
+        with pytest.raises(MappingError):
+            extend_to_simplicial(tetrahedron, tetrahedron, TriangleBijection.identity(5))
+
+
+def extension_or_none(K, K2, f):
+    """``extend_to_simplicial(K, K2, f)``, or None where it raises
+    MappingError."""
+    try:
+        return extend_to_simplicial(K, K2, f)
+    except MappingError:
+        return None
+
+
+class TestExtensionCertificate:
+    """A map that extends is trusted to preserve the matrix, and only a map
+    that does not extend is checked entry by entry.  MappingError must
+    still come exactly for the maps that do not preserve it."""
+
+    def test_all_tetrahedron_permutations(self, tetrahedron):
+        for perm in permutations(range(4)):
+            f = TriangleBijection(perm)
+            result = extension_or_none(tetrahedron, tetrahedron, f)
+            assert (result is None) == (not is_intersection_preserving(tetrahedron, tetrahedron, f))
+            assert isinstance(result, Extended)
+
+    @pytest.mark.parametrize(
+        "name,maps,extended", [("tp10", 120, 60), ("tp12", 48, 24), ("octahedron", 48, 48)]
+    )
+    def test_raises_exactly_off_the_preserving_maps(self, name, maps, extended):
+        K = standard(name)
+        K2 = reindexed_relabelled(K, 9)
+        found = find_intersection_preserving_bijections(
+            intersection_matrix(K), intersection_matrix(K2)
+        )
+        results = [extension_or_none(K, K2, g) for g in found]
+        assert None not in results
+        assert len(found) == maps
+        assert sum(isinstance(r, Extended) for r in results) == extended
+        # Random permutations, and preserving maps with two images swapped,
+        # which carry most stars onto stars.
+        rng = random.Random(13)
+        others = [TriangleBijection(tuple(rng.sample(range(K.n), K.n))) for _ in range(40)]
+        for g in found[:: max(1, len(found) // 20)]:
+            i, j = rng.sample(range(K.n), 2)
+            images = list(g.forward)
+            images[i], images[j] = images[j], images[i]
+            others.append(TriangleBijection(tuple(images)))
+        refused = 0
+        for f in others:
+            preserving = is_intersection_preserving(K, K2, f)
+            assert (extension_or_none(K, K2, f) is None) == (not preserving)
+            refused += not preserving
+        assert refused >= 40
+
 
 def reindexed_relabelled(K, seed):
     """K with its triangles in a seeded order and its vertices renamed."""
@@ -393,6 +503,15 @@ class TestTextFormats:
         f = TriangleBijection((3, 1, 0, 2))
         assert parse_bijection(serialize_bijection(f)) == f
 
+    @pytest.mark.parametrize(
+        "text",
+        ["2\n2 1\n0 2\n", "2\n1 0\n0 2\n", "2\n2 -2\n-2 2\n", "2\n2 3\n3 2\n"],
+        ids=["asymmetric", "bad-diagonal", "below-range", "above-range"],
+    )
+    def test_matrix_parse_validates_entries(self, text):
+        with pytest.raises(ParseError):
+            parse_matrix(text)
+
     def test_bijection_parse_errors(self):
         with pytest.raises(ParseError):
             parse_bijection("")
@@ -400,3 +519,8 @@ class TestTextFormats:
             parse_bijection("0 0 1\n")
         with pytest.raises(ParseError):
             parse_bijection("a b\n")
+
+    @pytest.mark.parametrize("text", ["0 1 3\n", "-1 0\n", "1 2\n"])
+    def test_bijection_parse_rejects_non_permutations(self, text):
+        with pytest.raises(ParseError):
+            parse_bijection(text)
