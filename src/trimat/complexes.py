@@ -8,7 +8,9 @@ after construction and all operations are pure functions.
 
 The ``.tri`` text format: one triangle per line as three whitespace
 separated labels, ``#`` starts a comment, blank lines are ignored, and the
-triangle index is the order of occurrence.
+triangle index is the order of occurrence.  So a label holds neither
+whitespace nor ``#``, and ``serialize_triangulation`` is exactly inverted
+by ``parse_triangulation``.
 
 Surface validation and vertex stars share one walk around each vertex
 link; the order of that walk is the vertex star.
@@ -51,6 +53,8 @@ def _check_label(label: str) -> str:
     # str.split() cuts at exactly the characters str.isspace() accepts.
     if label.split() != [label]:
         raise ValueError(f"vertex label may not contain whitespace: {label!r}")
+    if "#" in label:
+        raise ValueError(f"vertex label may not contain '#', which starts a comment: {label!r}")
     return label
 
 

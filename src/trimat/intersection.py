@@ -69,10 +69,12 @@ def intersection_dim(t1: Triangle, t2: Triangle) -> int:
 class IntersectionMatrix:
     """Symmetric n x n matrix over {-1, 0, 1, 2} with diagonal 2.
 
-    The constructor validates every entry, for matrices that callers build
-    and for ``parse_matrix``.  The matrices the library makes itself are
-    correct by construction and skip that check: ``intersection_matrix``
-    and ``permuted`` build them through ``_trusted``.
+    The constructor stores the rows as tuples, whatever sequences they come
+    in, so the matrix is hashable and equals its tuple twin.  It validates
+    every entry, for matrices that callers build and for ``parse_matrix``.
+    The matrices the library makes itself are correct by construction and
+    skip that check: ``intersection_matrix`` and ``permuted`` build them
+    through ``_trusted``.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -85,6 +87,7 @@ class IntersectionMatrix:
         return M
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         n = len(self.entries)
         for i, row in enumerate(self.entries):
             if len(row) != n:
@@ -148,9 +151,10 @@ def intersection_matrix(K: Triangulation) -> IntersectionMatrix:
 class TriangleBijection:
     """A bijection of triangle index sets, stored as the image sequence.
 
-    The constructor checks that the images are a permutation.  The maps the
-    search kernel yields, and inverses and compositions of valid maps, are
-    permutations by construction and skip that check through ``_trusted``.
+    The constructor stores the images as a tuple and checks that they are
+    a permutation.  The maps the search kernel yields, and inverses and
+    compositions of valid maps, are permutations by construction and skip
+    that check through ``_trusted``.
     """
 
     forward: tuple[int, ...]
@@ -163,6 +167,7 @@ class TriangleBijection:
         return f
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "forward", tuple(self.forward))
         n = len(self.forward)
         if sorted(self.forward) != list(range(n)):
             raise MappingError(f"not a permutation of 0..{n - 1}: {self.forward}")
@@ -227,7 +232,7 @@ def find_intersection_preserving_bijections(
     Returns the empty list when none exist (in particular when the sizes
     differ).  ``limit`` truncates the output to the first ``limit``
     bijections in lexicographic order of the image sequence.  The search
-    kernel matches rows only when their entry multisets agree, a rule it
+    kernel matches rows only when they meet as many rows, a rule it
     enforces itself, which is why it checks each row against the rows
     that meet it and no others.  It places rows in BFS order over the
     entry-1 (dual) graph of M, the plan that reconstruction also reads, so

@@ -18,9 +18,9 @@ many vertices with v.  A candidate is kept only if it shares exactly
 M[v][w] + 1 vertices with every placed w; the placed triangles at each
 vertex give these counts without a scan over all rows.  So a wrong guess
 dies at once, and the cost does not depend on the index order of the
-input.  The placement order, with each row's BFS parent, and the placed
-rows that each row meets come from ``_search_py._placement_order`` and
-``_search_py._meeting_rows``: the bijection kernel walks the same plan.
+input.  The placement order, each row's BFS parent and the placed rows
+each row meets come from ``_search_py._plan`` over ``_search_py._near``,
+each row's entries >= 0, as in the bijection kernel.
 
 Two rules keep each labelled solution from coming out more than once.
 The vertices of the root are interchangeable, so its first child is only
@@ -57,7 +57,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import catalog
-from ._search_py import _meeting_rows, _placement_order
+from ._search_py import _near, _plan
 from .complexes import Triangle, Triangulation, validate_closed_surface
 from .errors import BudgetExceededError, PatternError, ReconstructionError
 from .intersection import (
@@ -116,14 +116,16 @@ def _check_preconditions(M: IntersectionMatrix) -> None:
     # IntersectionMatrix type itself.  Two necessary conditions are not:
     # distinct triangles share at most an edge, and on a closed surface
     # each triangle has exactly three edge-neighbours.
-    for i in range(M.n):
-        for j, v in enumerate(M.row(i)):
-            if v == 2 and j != i:
+    for i, row in enumerate(_near(M.entries)):
+        ones = 0
+        for j, v in row:
+            if v == 1:
+                ones += 1
+            elif v == 2 and j != i:
                 raise PatternError(
                     f"entry ({i},{j}) is 2 off the diagonal, but distinct "
                     "triangles share at most an edge"
                 )
-        ones = sum(1 for v in M.row(i) if v == 1)
         if ones != 3:
             raise PatternError(
                 f"row {i} has {ones} entries equal to 1, a closed surface "
@@ -145,13 +147,9 @@ def _grow(
     BudgetExceededError once more than ``node_cap`` candidates are placed.
     """
     n = M.n
-    want = M.entries
-    order, parent = _placement_order(want)
+    order, parent, meets = _plan(_near(M.entries))
     if parent.count(-1) != 1:
         return  # no rows, or the entry-1 graph is not connected
-    # meets[k]: the (placed triangle, entry) pairs of the triangles placed
-    # before order[k] that share a vertex with it, in placement order.
-    meets = _meeting_rows(want, order)
     # tri[v]: the vertices of placed triangle v; the root, row 0, is (0, 1, 2).
     tri: list[tuple[int, int, int]] = [(0, 1, 2)] * n
     # at[x]: the placed triangles holding vertex x; len(at) is the next

@@ -21,6 +21,7 @@ from trimat import (
     vertex_star,
 )
 from trimat.catalog import CLOSED_SURFACES, standard
+from trimat.complexes import _check_label
 
 TETRA_TEXT = "a b c\na b d\na c d\nb c d\n"
 # Two tetrahedra pinched together at 'a': every edge lies in two triangles,
@@ -71,6 +72,29 @@ def near_surfaces(draw):
     return draw(st.permutations(sorted(tris, key=sorted)))
 
 
+def _is_label(text):
+    try:
+        _check_label(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Lists of triangles over a few labels drawn from any text that Triangle
+# accepts (it checks each label with _check_label).  The characters the
+# .tri format gives a meaning to are drawn more often than the rest.
+LABEL_TEXT = st.text(
+    st.one_of(st.sampled_from("a# \n"), st.characters()), min_size=1, max_size=6
+).filter(_is_label)
+ANY_LABEL_TRIANGLE_SETS = st.lists(LABEL_TEXT, min_size=3, max_size=8, unique=True).flatmap(
+    lambda labels: st.lists(
+        st.frozensets(st.sampled_from(labels), min_size=3, max_size=3),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    )
+)
+
 RANDOM_TRIANGLE_SETS = st.lists(
     st.frozensets(st.sampled_from("abcdefghij"), min_size=3, max_size=3),
     min_size=1,
@@ -104,11 +128,15 @@ class TestTriangle:
 
     def test_whitespace_is_what_isspace_says(self):
         # Every character str.isspace() accepts lies below U+3100; a label
-        # holding one is rejected, and a label of any other is kept.
+        # holding one is rejected, and so is one holding '#', which starts
+        # a comment in the .tri format.  A label of any other is kept.
         for c in map(chr, range(0x3100)):
             label = f"a{c}b"
             if c.isspace():
                 with pytest.raises(ValueError, match="whitespace"):
+                    Triangle((label, "c", "d"))
+            elif c == "#":
+                with pytest.raises(ValueError, match="'#'"):
                     Triangle((label, "c", "d"))
             else:
                 assert label in Triangle((label, "c", "d")).vertices
@@ -164,7 +192,7 @@ class TestParsing:
         assert parse_triangulation(serialize_triangulation(K)) == K
 
     @settings(max_examples=60, deadline=None)
-    @given(RANDOM_TRIANGLE_SETS)
+    @given(st.one_of(RANDOM_TRIANGLE_SETS, ANY_LABEL_TRIANGLE_SETS))
     def test_serialize_round_trip_random(self, triangle_sets):
         K = Triangulation(Triangle(tuple(s)) for s in triangle_sets)
         assert parse_triangulation(serialize_triangulation(K)) == K

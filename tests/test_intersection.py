@@ -135,6 +135,12 @@ class TestIntersectionMatrix:
         with pytest.raises(ValueError):
             IntersectionMatrix(((2, 1), (1,)))
 
+    def test_rows_given_as_lists(self, octahedron):
+        M = intersection_matrix(octahedron)
+        L = IntersectionMatrix([list(row) for row in M.entries])
+        assert L.entries == M.entries and type(L.entries[0]) is tuple
+        assert L == M and hash(L) == hash(M)
+
     def test_permuted_reindexes(self, tp10):
         M = intersection_matrix(tp10)
         perm = TriangleBijection(tuple(reversed(range(10))))
@@ -294,6 +300,11 @@ class TestCompositionAlgebra:
     def test_rejects_non_permutation(self):
         with pytest.raises(MappingError):
             TriangleBijection((0, 0, 1))
+
+    def test_images_given_as_a_list(self):
+        f = TriangleBijection([1, 0])
+        assert f.forward == (1, 0)
+        assert f == TriangleBijection((1, 0)) and hash(f) == hash(TriangleBijection((1, 0)))
 
 
 class TestExtension:

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from trimat import TriangleBijection, intersection_matrix, standard
-from trimat._search_py import _placement_order, search_bijections
+from trimat._search_py import _near, _plan, search_bijections
 
 
 def reference_search(m1, m2, limit=None):
@@ -77,7 +77,7 @@ class TestPlacementOrder:
     def test_limit_prefix_from_reindexed_source(self, name):
         M = intersection_matrix(standard(name))
         m1, m2 = reindexed(M, 1), reindexed(M, 2)
-        order, _ = _placement_order(m1.entries)
+        order, _, _ = _plan(_near(m1.entries))
         assert order != sorted(order)
         full = search_bijections(m1.entries, m2.entries, None)
         assert full and full == sorted(full)
@@ -120,7 +120,7 @@ class TestPlacementOrder:
                 for j in range(n):
                     m2[perm[i]][perm[j]] = m1[i][j]
             m2 = tuple(map(tuple, m2))
-            _, parent = _placement_order(m1)
+            _, parent, _ = _plan(_near(m1))
             assert parent.count(-1) >= 2, trial
             got = search_bijections(m1, m2, None)
             assert got == reference_search(m1, m2), trial

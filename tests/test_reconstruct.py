@@ -101,6 +101,12 @@ class TestReconstruct:
         )
         assert result.all_solutions_isomorphic is None
 
+    def test_matrix_with_rows_given_as_lists(self, octahedron):
+        M = intersection_matrix(octahedron)
+        result = reconstruct(IntersectionMatrix([list(row) for row in M.entries]))
+        assert intersection_matrix(result.complex) == M
+        assert result.all_solutions_isomorphic is True
+
     def test_checks_the_matrix_once(self, corpus, monkeypatch):
         module = importlib.import_module("trimat.reconstruct")
         check = module._check_preconditions

@@ -93,6 +93,13 @@ class TestLargeSurfaces:
         assert result.all_solutions_isomorphic is True
         assert result.ambiguity is None
 
+    def test_reindexed_four_fold_subdivided_tetrahedron_round_trips(self):
+        M = reindexed(intersection_matrix(subdivided("tetrahedron", 4)), seed=1024)
+        assert M.n == 1024
+        result = reconstruct(M, node_cap=2 * M.n)
+        assert intersection_matrix(result.complex) == M
+        assert result.all_solutions_isomorphic is True
+
     def test_cli_reconstruct_exits_zero(self, capsys, tmp_path):
         M = reindexed(intersection_matrix(subdivided("tetrahedron", 2)), seed=5)
         path = tmp_path / "m.imat"
