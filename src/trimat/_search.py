@@ -1,0 +1,274 @@
+"""The two searches over the entry-1 (dual) graph of an intersection matrix.
+
+Entry M[v][w] says how many vertices triangles v and w share, less one.
+``_near`` scans each matrix once and keeps, per row, the (column, entry)
+pairs with entry >= 0: O(d) pairs on a closed surface of vertex degree at
+most d.  ``_plan`` places the rows in BFS order over the entry-1 graph,
+starting at row 0 and then at the lowest row not yet reached, so every
+row but a root shares an edge with its BFS parent.  Both searches place
+rows in this order, check each against the placed rows that meet it and
+no others, and keep an explicit stack, so their depth is not bounded by
+the interpreter's recursion limit.  Both are generators: a caller that
+needs only some answers stops the search where it stops reading.
+
+The bijection kernel, ``iter_bijections``, yields every index bijection g
+with m2[g[i]][g[j]] == m1[i][j] for every i, j, in lexicographic order of
+the image sequence.  Row r of m1 maps only to a row of m2 whose view is
+as long as r's.  A root row tries every such image in ascending order.
+Every other row's image must be an entry-1 neighbour of its parent's
+image; on a closed surface that leaves at most 3 candidates (Weinberg's
+propagation idea for triangulations).
+
+Precondition: m1 and m2 are symmetric, with 2 on the diagonal and no
+negative entry other than -1.  The kernel enforces the rule on view
+lengths itself, and with it a complete bijection g that matches every
+entry >= 0 also matches the -1 entries: the columns g(i) of the rows i
+that meet row r (r among them) already hold as many entries >= 0 as row
+g(r) has, so the rest of row g(r) is the rest of row r, all -1.
+
+The output stays lexicographic without sorting the whole enumeration.
+Let k be the length of the longest prefix of the placement order that is
+rows 0..k-1 in index order.  Those rows try their images in ascending
+order, so the bijections that share the images of rows 0..k-1 come out
+together and the groups come out in ascending order; each group is sorted
+before it is yielded.
+
+The growth search, ``_grow``, places one triangle per row of a matrix M
+along the plan.  Row 0 becomes the triangle (0, 1, 2).  Every later
+triangle v shares an edge {a, b} with its BFS parent, so it is that edge
+plus an apex z, and the apex rule fixes z.  Take the first placed
+triangle that still needs more shared vertices with v than {a, b} gives
+it: z is one of its vertices.  If no placed triangle needs one, z is the
+next fresh vertex.  No other apex can work: a used vertex lies in some
+placed triangle, which would then share too many vertices with v.  A
+candidate is kept only if it shares exactly M[v][w] + 1 vertices with
+every placed w; the placed triangles at each vertex give these counts
+without a scan over all rows.  So a wrong guess dies at once, and the
+cost does not depend on the index order of the input.
+
+Two rules keep each labelled solution from coming out more than once.
+The vertices of the root are interchangeable, so its first child is only
+tried on the edge (0, 1).  Vertices 0 and 1 stay interchangeable until a
+placed triangle holds exactly one of them; until then, a candidate that
+holds 1 without 0 is dropped.  So each exact placement comes out once up
+to renaming of vertices, and two solutions, relabelled v0, v1, ... in
+order of first appearance by triangle index, are different complexes.  By
+the paper's theorem two solutions exist only for the two exceptional
+matrices that ``reconstruct.detect_exceptional`` recognizes.
+
+One search node is one placed candidate; a solvable matrix of n triangles
+usually needs about n of them.  Nothing in the growth search assumes a
+closed surface: ``_grow`` yields the exact placements of any pattern whose
+entry-1 graph is connected, for the cycle oracle in ``cycles`` and for
+``reconstruct``, which keeps those that are closed surfaces.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator
+
+from .errors import BudgetExceededError
+
+if TYPE_CHECKING:
+    from .intersection import IntersectionMatrix
+
+__all__ = ["iter_bijections", "search_bijections"]
+
+DEFAULT_NODE_CAP = 1_000_000
+
+
+def _near(m: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
+    """For each row of m, its (column, entry) pairs with entry >= 0, in
+    column order; the diagonal is among them."""
+    return [[(j, v) for j, v in enumerate(row) if v >= 0] for row in m]
+
+
+def _plan(
+    near: list[list[tuple[int, int]]],
+) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+    """The placement plan of a matrix read through ``_near``: its rows in
+    BFS order over the entry-1 graph, each row's BFS parent (-1 for the
+    root of a component), and for each position p of the order the
+    (earlier row, entry) pairs of the rows placed before ``order[p]`` that
+    meet it (entry >= 0), in placement order."""
+    n = len(near)
+    parent = [-1] * n
+    position = [-1] * n  # in the order; -1 until reached
+    order: list[int] = []
+    for root in range(n):
+        if position[root] >= 0:
+            continue
+        position[root] = head = len(order)
+        order.append(root)
+        while head < len(order):
+            r = order[head]
+            head += 1
+            for s, v in near[r]:
+                if v == 1 and position[s] < 0:
+                    position[s] = len(order)
+                    parent[s] = r
+                    order.append(s)
+    # Rows are visited in placement order, so each list grows in it.
+    meets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, r in enumerate(order):
+        for s, v in near[r]:
+            if position[s] > p:
+                meets[position[s]].append((r, v))
+    return order, parent, meets
+
+
+def iter_bijections(
+    m1: tuple[tuple[int, ...], ...],
+    m2: tuple[tuple[int, ...], ...],
+) -> Iterator[tuple[int, ...]]:
+    n = len(m1)
+    if n != len(m2):
+        return
+    if n == 0:
+        yield ()
+        return
+    near1, near2 = _near(m1), _near(m2)
+    order, parent, checks = _plan(near1)
+    # Rows 0..k-1 are placed first, in index order.
+    k = next((p for p, r in enumerate(order) if p != r), n)
+    neighbours2 = [[j for j, v in row if v == 1] for row in near2]
+    size1 = [len(row) for row in near1]
+    size2 = [len(row) for row in near2]
+    image = [0] * n
+    used = [False] * n
+    group: list[tuple[int, ...]] = []
+    # pending[p]: the images the row at position p has not tried yet.
+    # Resuming a for loop over this iterator continues the scan where it
+    # stopped.
+    pending = [iter(())] * n
+    pending[0] = iter(range(n))
+    depth = 0
+    while depth >= 0:
+        r = order[depth]
+        size = size1[r]
+        for j in pending[depth]:
+            if used[j] or size2[j] != size:
+                continue
+            col_j = m2[j]
+            for i, v in checks[depth]:
+                if col_j[image[i]] != v:
+                    break
+            else:
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                used[image[order[depth]]] = False
+            if depth < k and group:
+                group.sort()
+                yield from group
+                group.clear()
+            continue
+        image[r] = j
+        if depth + 1 == n:
+            group.append(tuple(image))
+            continue
+        used[j] = True
+        depth += 1
+        r = order[depth]
+        pending[depth] = iter(range(n) if parent[r] < 0 else neighbours2[image[parent[r]]])
+
+
+def search_bijections(
+    m1: tuple[tuple[int, ...], ...],
+    m2: tuple[tuple[int, ...], ...],
+    limit: int | None = None,
+) -> list[tuple[int, ...]]:
+    """All bijections, or the first ``limit`` of them, as a list."""
+    if limit is not None and limit <= 0:
+        return []
+    return list(islice(iter_bijections(m1, m2), limit))
+
+
+def _grow(
+    M: IntersectionMatrix, node_cap: int
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Yield every exact placement of M, lazily, once up to renaming of
+    vertices.
+
+    A placement is one int triple per row, in row order, whose pairwise
+    shared-vertex counts are exactly M's.  M may be any pattern of two or
+    more rows whose entry-1 graph is connected (no placement comes out
+    otherwise); the placements need not be closed surfaces.  Raises
+    BudgetExceededError once more than ``node_cap`` candidates are placed.
+    """
+    n = M.n
+    order, parent, meets = _plan(_near(M.entries))
+    if parent.count(-1) != 1:
+        return  # no rows, or the entry-1 graph is not connected
+    # tri[v]: the vertices of placed triangle v; the root, row 0, is (0, 1, 2).
+    tri: list[tuple[int, int, int]] = [(0, 1, 2)] * n
+    # at[x]: the placed triangles holding vertex x; len(at) is the next
+    # fresh vertex.
+    at: list[list[int]] = [[0], [0], [0]]
+    # live[k]: vertices 0 and 1 are still interchangeable when order[k]
+    # is placed.
+    live = [True] * (n + 1)
+
+    def fits(k: int, t: tuple[int, int, int]) -> bool:
+        """Does t share exactly M[v][w] + 1 vertices with every placed w?"""
+        count: dict[int, int] = {}
+        for x in t:
+            for w in at[x] if x < len(at) else ():
+                count[w] = count.get(w, 0) + 1
+        return len(count) == len(meets[k]) and all(
+            count.get(w) == value + 1 for w, value in meets[k]
+        )
+
+    def candidates(k: int) -> list[tuple[int, int, int]]:
+        p0, p1, p2 = tri[parent[order[k]]]
+        out = []
+        for a, b in ((p0, p1),) if k == 1 else ((p0, p1), (p0, p2), (p1, p2)):
+            apexes = [len(at)]
+            for w, value in meets[k]:
+                t = tri[w]
+                need = value + 1 - (a in t) - (b in t)
+                if need:
+                    apexes = [x for x in t if x not in (a, b)] if need == 1 else []
+                    break
+            for z in apexes:
+                t = (a, b, z)
+                if not (live[k] and 1 in t and 0 not in t) and fits(k, t):
+                    out.append(t)
+        return out
+
+    nodes = 0
+    # The explicit stack: pending[k] holds the candidates for order[k]
+    # not tried yet, for every k below the current depth.
+    pending = [iter(())] * n
+    pending[1] = iter(candidates(1))
+    k = 1
+    while k >= 1:
+        if k < n:
+            t = next(pending[k], None)
+            if t is not None:
+                nodes += 1
+                if nodes > node_cap:
+                    raise BudgetExceededError(
+                        f"reconstruction search exceeded its node budget ({node_cap})"
+                    )
+                tri[order[k]] = t
+                for x in t:
+                    if x == len(at):
+                        at.append([])
+                    at[x].append(order[k])
+                live[k + 1] = live[k] and (0 in t) == (1 in t)
+                k += 1
+                if k < n:
+                    pending[k] = iter(candidates(k))
+                continue
+        else:
+            yield tuple(tri)
+        # Take back the triangle placed last.
+        k -= 1
+        if k >= 1:
+            for x in tri[order[k]]:
+                at[x].pop()
+            if not at[-1]:
+                at.pop()

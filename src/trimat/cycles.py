@@ -16,9 +16,9 @@ its star, the indices of the triangles that contain it: a sequence is
 fixed up to renaming by the multiset of its stars, and the form is the
 smallest sorted tuple of stars over the 2n rotations and reflections of
 the cycle.  ``enumerate_realizations`` is the oracle: at small n it takes
-every exact placement of the pattern from the growth search that
-``reconstruct`` rebuilds surfaces with, and keeps one per canonical form,
-so the trichotomy can be checked rather than assumed.
+every exact placement of the pattern from ``_search._grow``, the growth
+search that ``reconstruct`` rebuilds surfaces with, and keeps one per
+canonical form, so the trichotomy can be checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import catalog
+from ._search import DEFAULT_NODE_CAP, _grow
 from .complexes import Triangle
 from .errors import PatternError, TrichotomyError
 from .intersection import IntersectionMatrix
-from .reconstruct import DEFAULT_NODE_CAP, _grow
 
 __all__ = [
     "CycleClass",
@@ -186,15 +186,15 @@ def enumerate_realizations(
     """Every realization of the n-cycle pattern, up to relabeling and the
     2n dihedral symmetries, each paired with its classification.
 
-    The placements come from ``reconstruct``'s growth search, the only
-    triangle-placement search in the package: it grows along the cycle
-    from triangle 0 = {0, 1, 2} and yields every labelled triangle
-    sequence whose pairwise shared-vertex counts are exactly the pattern's,
-    once up to renaming of vertices.  Survivors are deduplicated by their
-    canonical form, the smallest sorted tuple of vertex stars over the
-    dihedral re-indexings, and each representative is decoded from that
-    form: vertex k is the k-th star, and triangle i holds the vertices
-    whose star holds i.
+    The placements come from ``_search._grow``, the growth search behind
+    ``reconstruct`` and the only triangle-placement search in the package:
+    it grows along the cycle from triangle 0 = {0, 1, 2} and yields every
+    labelled triangle sequence whose pairwise shared-vertex counts are
+    exactly the pattern's, once up to renaming of vertices.  Survivors are
+    deduplicated by their canonical form, the smallest sorted tuple of
+    vertex stars over the dihedral re-indexings, and each representative is
+    decoded from that form: vertex k is the k-th star, and triangle i holds
+    the vertices whose star holds i.
 
     Only desk-scale sizes are allowed: 3 <= n <= 8.
     """

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from ._search_py import iter_bijections, search_bijections
+from ._search import iter_bijections, search_bijections
 from .complexes import Triangle, Triangulation, _require_closed_surface
 from .errors import MappingError, ParseError
 
@@ -89,12 +89,16 @@ class IntersectionMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         n = len(self.entries)
+        if n == 0:
+            raise ValueError("matrix size must be positive, got 0")
         for i, row in enumerate(self.entries):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         for i, row in enumerate(self.entries):
             for j, value in enumerate(row):
-                if value not in _VALID_ENTRIES:
+                # An int only: 2.0 and True compare equal to 2 and 1, but
+                # ``serialize_matrix`` would write them as "2.0" and "True".
+                if type(value) is not int or value not in _VALID_ENTRIES:
                     raise ValueError(f"entry ({i},{j}) = {value} outside {{-1,0,1,2}}")
                 if self.entries[j][i] != value:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
@@ -169,7 +173,12 @@ class TriangleBijection:
     def __post_init__(self) -> None:
         object.__setattr__(self, "forward", tuple(self.forward))
         n = len(self.forward)
-        if sorted(self.forward) != list(range(n)):
+        if n == 0:
+            raise MappingError("bijection size must be positive, got 0")
+        # Ints only, as for matrix entries: True sorts as 1.
+        if any(type(j) is not int for j in self.forward) or (
+            sorted(self.forward) != list(range(n))
+        ):
             raise MappingError(f"not a permutation of 0..{n - 1}: {self.forward}")
 
     @classmethod
@@ -241,7 +250,7 @@ def find_intersection_preserving_bijections(
     whatever the indexing of the triangles.  To keep the order, the maps
     that share the images of the rows placed before the first one out of
     index order are sorted as a group before any of them is returned (see
-    ``_search_py``).
+    ``_search``).
     """
     if M.n != M2.n:
         return []

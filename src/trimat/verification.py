@@ -9,7 +9,7 @@ so the two entry points cannot drift apart.
 Counting simplicial automorphisms directly (``simplicial_automorphisms``)
 is deliberately independent of the matrix machinery: it searches vertex
 bijections, not triangle bijections, and calls nothing in
-``intersection``, ``_search_py`` or ``reconstruct``, so the extension-count
+``intersection``, ``_search`` or ``reconstruct``, so the extension-count
 check compares two routes that share no code.  Both searches propagate:
 the matrix route along the dual graph, the vertex route along the
 1-skeleton, where each placed vertex confines its neighbours' images to

@@ -36,7 +36,7 @@ from trimat import (
     serialize_triangulation,
     standard,
 )
-from trimat._search_py import search_bijections
+from trimat._search import search_bijections
 from trimat.catalog import CLOSED_SURFACES
 from trimat.cli import main
 from trimat.reconstruct import DEFAULT_NODE_CAP, _grow

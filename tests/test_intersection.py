@@ -535,3 +535,25 @@ class TestTextFormats:
     def test_bijection_parse_rejects_non_permutations(self, text):
         with pytest.raises(ParseError):
             parse_bijection(text)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[2.0, True], [1, 2]], r"entry \(0,0\) = 2\.0 outside \{-1,0,1,2\}"),
+            (((2, True), (True, 2)), r"entry \(0,1\) = True outside"),
+            (((2, 1.0), (1.0, 2)), r"entry \(0,1\) = 1\.0 outside"),
+            ((), "size must be positive"),
+        ],
+        ids=["float-diagonal", "bool", "float-off-diagonal", "empty"],
+    )
+    def test_matrix_rejects_what_its_text_cannot_carry(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            IntersectionMatrix(rows)
+
+    @pytest.mark.parametrize(
+        "images", [(True, False), (1.0, 0), (), (0, True)],
+        ids=["bools", "float", "empty", "bool-with-int"],
+    )
+    def test_bijection_rejects_what_its_text_cannot_carry(self, images):
+        with pytest.raises(MappingError):
+            TriangleBijection(images)

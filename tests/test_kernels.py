@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from trimat import TriangleBijection, intersection_matrix, standard
-from trimat._search_py import _near, _plan, search_bijections
+from trimat._search import _near, _plan, search_bijections
 
 
 def reference_search(m1, m2, limit=None):

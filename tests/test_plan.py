@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trimat import intersection_matrix
-from trimat._search_py import _near, _plan
+from trimat._search import _near, _plan
 from trimat.catalog import CLOSED_SURFACES
 
 from test_robustness import reindexed, subdivided
