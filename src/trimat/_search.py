@@ -13,14 +13,16 @@ needs only some answers stops the search where it stops reading.
 
 The bijection kernel, ``iter_bijections``, yields every index bijection g
 with m2[g[i]][g[j]] == m1[i][j] for every i, j, in lexicographic order of
-the image sequence.  Row r of m1 maps only to a row of m2 whose view is
+the image sequence, and none when the sizes differ; its callers leave
+that check to it.  Row r of m1 maps only to a row of m2 whose view is
 as long as r's.  A root row tries every such image in ascending order.
 Every other row's image must be an entry-1 neighbour of its parent's
 image; on a closed surface that leaves at most 3 candidates (Weinberg's
 propagation idea for triangulations).
 
-Precondition: m1 and m2 are symmetric, with 2 on the diagonal and no
-negative entry other than -1.  The kernel enforces the rule on view
+Precondition: m1 and m2 are non-empty and symmetric, with 2 on the
+diagonal and no negative entry other than -1 (``IntersectionMatrix``
+holds them to this).  The kernel enforces the rule on view
 lengths itself, and with it a complete bijection g that matches every
 entry >= 0 also matches the -1 entries: the columns g(i) of the rows i
 that meet row r (r among them) already hold as many entries >= 0 as row
@@ -124,9 +126,6 @@ def iter_bijections(
 ) -> Iterator[tuple[int, ...]]:
     n = len(m1)
     if n != len(m2):
-        return
-    if n == 0:
-        yield ()
         return
     near1, near2 = _near(m1), _near(m2)
     order, parent, checks = _plan(near1)

@@ -24,9 +24,8 @@ vertices that ``intersection.extend_to_simplicial`` reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ParseError, SurfaceError
 
@@ -193,20 +192,17 @@ class Triangulation:
 
 @dataclass(frozen=True)
 class SurfaceReport:
-    """Outcome of the closed-surface validation.
-
-    ``orientable`` is None unless the complex is a connected closed surface
-    (it is undefined otherwise).  Problems are reported, never thrown.
-    ``per_vertex_degree`` is read-only, since every caller that validates
-    the same complex shares the report.
+    """Outcome of the closed-surface validation: the three findings whose
+    conjunction is ``is_closed_surface``.  Problems are reported, never
+    thrown.  Frozen, since every caller that validates the same complex
+    shares the report.  The Euler characteristic, orientability and vertex
+    degrees are not part of it: ``euler_characteristic``, ``orientability``
+    and ``Triangulation.degree`` give them.
     """
 
     connected: bool
     closed: bool
     links_ok: bool
-    euler_characteristic: int
-    orientable: bool | None
-    per_vertex_degree: Mapping[str, int] = field(repr=False)
 
     @property
     def is_closed_surface(self) -> bool:
@@ -343,29 +339,17 @@ def _oriented_consistently(K: Triangulation) -> bool:
 def validate_closed_surface(K: Triangulation) -> SurfaceReport:
     """Check whether the complex is a connected closed surface.
 
-    The report carries the individual findings; ``is_closed_surface`` is
-    their conjunction.  Orientability is only decided (and only defined)
-    when the complex passes all three checks.  The report is worked out on
-    the first call for a complex; later calls return the same report.
+    The report carries the three findings; ``is_closed_surface`` is their
+    conjunction.  Nothing else is worked out here.  The report is worked
+    out on the first call for a complex; later calls return the same
+    report.
     """
-    if K._report is not None:
-        return K._report
-    connected = _is_connected(K)
-    closed = all(len(ix) == 2 for ix in K._edge_map.values())
-    links_ok = all(_link_cycle(K, v) is not None for v in K.vertices())
-    chi = euler_characteristic(K)
-    orientable: bool | None = None
-    if connected and closed and links_ok:
-        orientable = _oriented_consistently(K)
-    degrees = MappingProxyType({v: K.degree(v) for v in K.vertices()})
-    K._report = SurfaceReport(
-        connected=connected,
-        closed=closed,
-        links_ok=links_ok,
-        euler_characteristic=chi,
-        orientable=orientable,
-        per_vertex_degree=degrees,
-    )
+    if K._report is None:
+        K._report = SurfaceReport(
+            connected=_is_connected(K),
+            closed=all(len(ix) == 2 for ix in K._edge_map.values()),
+            links_ok=all(_link_cycle(K, v) is not None for v in K.vertices()),
+        )
     return K._report
 
 
@@ -373,9 +357,9 @@ def euler_characteristic(K: Triangulation) -> int:
     return len(K.vertices()) - len(K.edges()) + K.n
 
 
-def _require_closed_surface(K: Triangulation, name: str) -> SurfaceReport:
-    """The validation report of K; raises SurfaceError unless K is a
-    connected closed surface.  ``name`` says which input failed."""
+def _require_closed_surface(K: Triangulation, name: str) -> None:
+    """Raise SurfaceError unless K is a connected closed surface, naming
+    the findings that failed; ``name`` says which input it was."""
     report = validate_closed_surface(K)
     if not report.is_closed_surface:
         raise SurfaceError(
@@ -383,17 +367,17 @@ def _require_closed_surface(K: Triangulation, name: str) -> SurfaceReport:
             f"(connected={report.connected}, closed={report.closed}, "
             f"links_ok={report.links_ok})"
         )
-    return report
 
 
 def orientability(K: Triangulation) -> bool:
     """Whether a connected closed surface is orientable.
 
-    Raises SurfaceError on anything that is not a connected closed surface.
+    Raises SurfaceError on anything that is not a connected closed surface,
+    where orientability is not defined here.  Worked out on every call; it
+    is not kept on the complex.
     """
-    report = _require_closed_surface(K, "the complex")
-    assert report.orientable is not None
-    return report.orientable
+    _require_closed_surface(K, "the complex")
+    return _oriented_consistently(K)
 
 
 def boundary_edges(K: Triangulation) -> tuple[frozenset[str], ...]:

@@ -252,8 +252,6 @@ def find_intersection_preserving_bijections(
     index order are sorted as a group before any of them is returned (see
     ``_search``).
     """
-    if M.n != M2.n:
-        return []
     images = search_bijections(M.entries, M2.entries, limit)
     return [TriangleBijection._trusted(img) for img in images]
 
@@ -335,8 +333,6 @@ def _extensions(
     The kernel yields only preserving maps, so they are not re-checked
     either.
     """
-    if K.n != K2.n:
-        return
     M, M2 = intersection_matrix(K), intersection_matrix(K2)
     for image in iter_bijections(M.entries, M2.entries):
         f = TriangleBijection._trusted(image)

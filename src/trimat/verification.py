@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import catalog
-from .complexes import Triangulation, _require_closed_surface, validate_closed_surface
+from .complexes import (
+    Triangulation,
+    _require_closed_surface,
+    euler_characteristic,
+    orientability,
+    validate_closed_surface,
+)
 from .cycles import classify_realization, enumerate_realizations, expected_classes
 from .errors import PatternError, TrichotomyError
 from .intersection import (
@@ -166,10 +172,12 @@ def _check_catalog_soundness() -> tuple[bool, str]:
         report = validate_closed_surface(K)
         if not report.is_closed_surface:
             problems.append(f"{name}: not a closed surface")
-        if K.n != entry.n or report.euler_characteristic != entry.euler_characteristic:
-            problems.append(f"{name}: n={K.n}, chi={report.euler_characteristic}")
-        if report.orientable != entry.orientable:
-            problems.append(f"{name}: orientable={report.orientable}")
+        chi = euler_characteristic(K)
+        if K.n != entry.n or chi != entry.euler_characteristic:
+            problems.append(f"{name}: n={K.n}, chi={chi}")
+        orientable = orientability(K) if report.is_closed_surface else None
+        if orientable != entry.orientable:
+            problems.append(f"{name}: orientable={orientable}")
         if name in expected_vef:
             vef = (len(K.vertices()), len(K.edges()), K.n)
             if vef != expected_vef[name]:

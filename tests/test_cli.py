@@ -65,6 +65,11 @@ class TestGenAndMatrix:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_gen_disk_fan_needs_n(self, capsys):
+        code, out, err = run(capsys, "gen", "--name", "disk_fan")
+        assert (code, out) == (2, "")
+        assert err == "error: disk_fan needs --n\n"
+
     def test_matrix_of_tetrahedron(self, capsys, tmp_path, tetrahedron):
         path = write(tmp_path, "k.tri", serialize_triangulation(tetrahedron))
         code, out, _ = run(capsys, "matrix", path)
@@ -171,6 +176,14 @@ class TestMapCommands:
         code, out, _ = run(capsys, "check-map", k, k, b)
         assert (code, out.strip()) == (1, "no")
 
+    def test_check_map_one_triangle(self, capsys, tmp_path):
+        # A one-row matrix takes the n = 1 branch of is_intersection_preserving;
+        # the check needs no closed surface.
+        k = write(tmp_path, "k.tri", "a b c\n")
+        b = write(tmp_path, "f.txt", "0\n")
+        code, out, _ = run(capsys, "check-map", k, k, b)
+        assert (code, out) == (0, "yes\n")
+
     def test_check_map_size_mismatch(self, capsys, tmp_path, tetrahedron, tp10):
         k1 = write(tmp_path, "k1.tri", serialize_triangulation(tetrahedron))
         k2 = write(tmp_path, "k2.tri", serialize_triangulation(tp10))
@@ -236,6 +249,20 @@ class TestInputValidation:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# empty\n0\n", "line 2: matrix size must be positive, got 0"),
+            ("2\n2 1\n\n1 2 0\n", "line 4: expected 2 entries, got 3"),
+            ("2\n2 1\n1 2\n# extra\n1 2\n", "line 5: more matrix rows than declared"),
+        ],
+        ids=["size-zero", "long-row", "extra-row"],
+    )
+    def test_reconstruct_reports_the_line(self, capsys, tmp_path, text, message):
+        code, out, err = run(capsys, "reconstruct", write(tmp_path, "m.imat", text))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_extend_rejects_non_permutation(self, capsys, tmp_path, tetrahedron):
         k = write(tmp_path, "k.tri", serialize_triangulation(tetrahedron))
         b = write(tmp_path, "f.txt", "0 1 2 2\n")
@@ -283,6 +310,29 @@ class TestVerifyLemma:
         code, out, _ = run(capsys, "verify-lemma", "--max-n", "6")
         assert code == 1
         assert out.startswith("# verify-lemma: trichotomy REFUTED: n=5: classes ")
+
+
+class TestVerifyCorpus:
+    def test_all_criteria_pass(self, capsys):
+        code, out, _ = run(capsys, "verify-corpus")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 8
+        for k, line in enumerate(lines[:7], start=1):
+            assert line.startswith(f"criterion {k} PASS ("), line
+        assert lines[7] == "verify-corpus: all criteria passed"
+
+    def test_failure_is_reported(self, capsys, monkeypatch):
+        (num, name, _), *rest = verification.CHECKS
+        failing = (num, name, lambda: (False, "forced"))
+        monkeypatch.setattr(verification, "CHECKS", [failing, *rest])
+        code, out, _ = run(capsys, "verify-corpus")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("criterion 1 FAIL (")
+        assert lines[0].endswith(": catalog soundness — forced")
+        assert all(f"criterion {k} PASS (" in lines[k - 1] for k in range(2, 8))
+        assert lines[7] == "verify-corpus: FAILURES present"
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 """Complex model, .tri parsing, surface validation, vertex stars."""
 
+import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -14,12 +15,15 @@ from trimat import (
     Triangulation,
     boundary_edges,
     euler_characteristic,
+    intersection_matrix,
     orientability,
     parse_triangulation,
+    reconstruct,
     serialize_triangulation,
     validate_closed_surface,
     vertex_star,
 )
+from trimat import complexes
 from trimat.catalog import CLOSED_SURFACES, standard
 from trimat.complexes import _check_label
 
@@ -221,27 +225,30 @@ class TestParsing:
 
 class TestValidation:
     def test_tetrahedron_is_a_sphere(self):
-        report = validate_closed_surface(parse_triangulation(TETRA_TEXT))
+        K = parse_triangulation(TETRA_TEXT)
+        report = validate_closed_surface(K)
         assert report.connected and report.closed and report.links_ok
-        assert report.euler_characteristic == 2
-        assert report.orientable is True
-        assert report.per_vertex_degree == {"a": 3, "b": 3, "c": 3, "d": 3}
+        assert euler_characteristic(K) == 2
+        assert orientability(K) is True
+        assert {v: K.degree(v) for v in K.vertices()} == {"a": 3, "b": 3, "c": 3, "d": 3}
 
     def test_report_is_kept_and_read_only(self):
         # The report is worked out once per complex and shared by every
         # caller, so none of them may change it for the others.
         K = parse_triangulation(TETRA_TEXT)
         report = validate_closed_surface(K)
-        with pytest.raises(TypeError):
-            report.per_vertex_degree["a"] = 4
-        assert validate_closed_surface(K) == report
-        assert report.per_vertex_degree["a"] == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.connected = False
+        assert validate_closed_surface(K) is report
+        assert report.connected is True
 
     def test_single_triangle_not_closed(self):
-        report = validate_closed_surface(parse_triangulation("a b c\n"))
+        K = parse_triangulation("a b c\n")
+        report = validate_closed_surface(K)
         assert not report.closed
-        assert report.orientable is None
-        assert len(boundary_edges(parse_triangulation("a b c\n"))) == 3
+        with pytest.raises(SurfaceError):
+            orientability(K)
+        assert len(boundary_edges(K)) == 3
 
     def test_disconnected_complex(self):
         K = parse_triangulation("a b c\nd e f\n")
@@ -254,16 +261,18 @@ class TestValidation:
         assert report.connected and not report.closed
 
     def test_pinched_tetrahedra(self):
-        report = validate_closed_surface(parse_triangulation(PINCHED_TEXT))
+        K = parse_triangulation(PINCHED_TEXT)
+        report = validate_closed_surface(K)
         assert report.connected and report.closed
         assert not report.links_ok
-        assert report.orientable is None
+        with pytest.raises(SurfaceError):
+            orientability(K)
 
     def test_tp10_report(self, tp10):
         report = validate_closed_surface(tp10)
         assert report.is_closed_surface
-        assert report.euler_characteristic == 1
-        assert report.orientable is False
+        assert euler_characteristic(tp10) == 1
+        assert orientability(tp10) is False
         assert len(tp10.vertices()) == 6
         assert len(tp10.edges()) == 15
 
@@ -272,7 +281,7 @@ class TestValidation:
         for name, K in corpus:
             assert all(len(K.triangles_on(e)) == 2 for e in K.edges()), name
             assert 2 * len(K.edges()) == 3 * K.n, name
-            degrees = validate_closed_surface(K).per_vertex_degree
+            degrees = {v: K.degree(v) for v in K.vertices()}
             assert sum(degrees.values()) == 3 * K.n, name
 
 
@@ -293,6 +302,28 @@ class TestEulerAndOrientability:
     def test_orientability_rejects_open_complex(self):
         with pytest.raises(SurfaceError):
             orientability(parse_triangulation("a b c\n"))
+
+    def test_worked_out_only_when_asked(self, corpus, monkeypatch):
+        # Validation answers only whether K is a closed surface, so neither
+        # reconstruct (which validates every complex it builds) nor a fresh
+        # validation works out an orientation or chi.
+        calls = []
+        orient, chi = complexes._oriented_consistently, complexes.euler_characteristic
+        monkeypatch.setattr(
+            complexes, "_oriented_consistently", lambda K: (calls.append("o"), orient(K))[1]
+        )
+        monkeypatch.setattr(
+            complexes, "euler_characteristic", lambda K: (calls.append("chi"), chi(K))[1]
+        )
+        for name, K in corpus:
+            reconstruct(intersection_matrix(K))
+            assert calls == [], name
+            fresh = parse_triangulation(serialize_triangulation(K))
+            assert validate_closed_surface(fresh).is_closed_surface, name
+            assert calls == [], name
+            orientability(fresh)
+            assert calls == ["o"], name
+            calls.clear()
 
 
 class TestVertexStar:

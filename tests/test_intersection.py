@@ -469,6 +469,9 @@ class TestIsomorphic:
     def test_different_surfaces(self, tp10, tp12, tetrahedron, octahedron):
         assert not isomorphic(tp10, tp12)
         assert not isomorphic(tetrahedron, octahedron)
+        assert find_intersection_preserving_bijections(
+            intersection_matrix(tp10), intersection_matrix(tp12)
+        ) == []
 
     def test_same_size_different_matrix(self, octahedron):
         # The tetrahedron with two faces stellarly subdivided: a sphere with
