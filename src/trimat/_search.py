@@ -44,9 +44,16 @@ it: z is one of its vertices.  If no placed triangle needs one, z is the
 next fresh vertex.  No other apex can work: a used vertex lies in some
 placed triangle, which would then share too many vertices with v.  A
 candidate is kept only if it shares exactly M[v][w] + 1 vertices with
-every placed w; the placed triangles at each vertex give these counts
-without a scan over all rows.  So a wrong guess dies at once, and the
-cost does not depend on the index order of the input.
+every placed w.  One count decides most of that without a scan over all
+rows (the incidence-count rule).  Let total(v) be the sum of M[v][w] + 1
+over the placed w that meet v, and inc(x) the number of placed triangles
+holding vertex x (0 for a fresh one).  A candidate (a, b, z) fits exactly
+when inc(a) + inc(b) + inc(z) == total(v) and each placed w that meets v
+shares M[v][w] + 1 vertices with it: the sum counts every incidence, so
+one more would touch a placed triangle v must not meet.  So an edge {a,
+b} with inc(a) + inc(b) > total(v) takes no apex, and an apex z is kept
+only when inc(z) is the rest.  A wrong guess dies at once, and the cost
+does not depend on the index order of the input.
 
 Two rules keep each labelled solution from coming out more than once.
 The vertices of the root are interchangeable, so its first child is only
@@ -210,30 +217,40 @@ def _grow(
     # is placed.
     live = [True] * (n + 1)
 
-    def fits(k: int, t: tuple[int, int, int]) -> bool:
-        """Does t share exactly M[v][w] + 1 vertices with every placed w?"""
-        count: dict[int, int] = {}
-        for x in t:
-            for w in at[x] if x < len(at) else ():
-                count[w] = count.get(w, 0) + 1
-        return len(count) == len(meets[k]) and all(
-            count.get(w) == value + 1 for w, value in meets[k]
-        )
+    # total[k]: the vertex incidences a triangle at order[k] must have with
+    # the placed triangles, M[v][w] + 1 summed over the w it meets.
+    total = [sum(value + 1 for _, value in meet) for meet in meets]
 
     def candidates(k: int) -> list[tuple[int, int, int]]:
         p0, p1, p2 = tri[parent[order[k]]]
+        meet = meets[k]
+        fresh = len(at)
         out = []
         for a, b in ((p0, p1),) if k == 1 else ((p0, p1), (p0, p2), (p1, p2)):
-            apexes = [len(at)]
-            for w, value in meets[k]:
+            # The apex must bring exactly the incidences a and b leave.
+            rest = total[k] - len(at[a]) - len(at[b])
+            if rest < 0:
+                continue
+            apexes: tuple[int, ...] = (fresh,)
+            for w, value in meet:
                 t = tri[w]
                 need = value + 1 - (a in t) - (b in t)
                 if need:
-                    apexes = [x for x in t if x not in (a, b)] if need == 1 else []
+                    apexes = t if need == 1 else ()
                     break
             for z in apexes:
+                if z == a or z == b or (len(at[z]) if z < fresh else 0) != rest:
+                    continue
                 t = (a, b, z)
-                if not (live[k] and 1 in t and 0 not in t) and fits(k, t):
+                if live[k] and 1 in t and 0 not in t:
+                    continue
+                # The counts agree, so t meets no placed triangle outside
+                # meet; it fits when each one in meet shares the right number.
+                for w, value in meet:
+                    placed = tri[w]
+                    if (a in placed) + (b in placed) + (z in placed) != value + 1:
+                        break
+                else:
                     out.append(t)
         return out
 

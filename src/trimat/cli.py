@@ -132,6 +132,8 @@ def _cmd_verify_corpus(_args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.name == "disk_fan" and args.n is None:
         raise TrimatError("disk_fan needs --n")
+    if args.name != "disk_fan" and args.n is not None:
+        raise TrimatError(f"--n applies only to disk_fan, not to {args.name}")
     try:
         if args.name == "disk_fan":
             K = catalog.disk_fan(args.n)

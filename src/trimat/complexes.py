@@ -275,27 +275,47 @@ def _link_cycle(K: Triangulation, v: str) -> tuple[int, ...] | None:
     its two neighbours.
     """
     star = K.triangles_at(v)
+    triangles = K.triangles
     across: dict[str, list[int]] = {}
     for i in star:
-        for u in K.triangles[i].vertices:
+        for u in triangles[i].vertices:
             if u != v:
-                across.setdefault(u, []).append(i)
-    if any(len(pair) != 2 for pair in across.values()):
-        return None
+                pair = across.get(u)
+                if pair is None:
+                    across[u] = [i]
+                else:
+                    pair.append(i)
+    for pair in across.values():
+        if len(pair) != 2:
+            return None
     # The star and each across[u] are in increasing index order, so the
     # lowest triangle comes first in both of its pairs.
     start = star[0]
-    u, w = (x for x in K.triangles[start].vertices if x != v)
+    x, y, z = triangles[start].vertices
+    if x == v:
+        u, w = y, z
+    elif y == v:
+        u, w = x, z
+    else:
+        u, w = x, y
     if across[w][1] < across[u][1]:
         u = w
     cycle = [start]
+    i = start
     while True:
         a, b = across[u]
-        j = b if a == cycle[-1] else a
-        if j == start:
+        i = b if a == i else a
+        if i == start:
             break
-        cycle.append(j)
-        u = next(x for x in K.triangles[j].vertices if x != v and x != u)
+        cycle.append(i)
+        # Leave triangle i across its edge through v that is not {v, u}.
+        x, y, z = triangles[i].vertices
+        if x != v and x != u:
+            u = x
+        elif y != v and y != u:
+            u = y
+        else:
+            u = z
     return tuple(cycle) if len(cycle) == len(star) else None
 
 

@@ -396,7 +396,7 @@ def parse_matrix(text: str) -> IntersectionMatrix:
                 raise ParseError(f"matrix size must be positive, got {n}", lineno)
             continue
         try:
-            row = tuple(int(tok) for tok in line.split())
+            row = tuple(map(int, line.split()))
         except ValueError:
             raise ParseError(f"non-integer matrix entry in {line!r}", lineno)
         if len(row) != n:

@@ -70,6 +70,11 @@ class TestGenAndMatrix:
         assert (code, out) == (2, "")
         assert err == "error: disk_fan needs --n\n"
 
+    def test_gen_n_only_for_disk_fan(self, capsys):
+        code, out, err = run(capsys, "gen", "--name", "tp10", "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: --n applies only to disk_fan, not to tp10\n"
+
     def test_matrix_of_tetrahedron(self, capsys, tmp_path, tetrahedron):
         path = write(tmp_path, "k.tri", serialize_triangulation(tetrahedron))
         code, out, _ = run(capsys, "matrix", path)

@@ -7,7 +7,10 @@ keep every digest; a change meant to alter an answer must say so and
 re-pin the digest it changes.  The groups cover the bijection search and
 its extensions, both modes of ``reconstruct``, exceptional detection, the
 growth search's placements, the cycle oracle, and verdicts and error
-texts on random matrices.  The inputs are seeded, and the copies carry
+texts on random matrices.  Two groups pin work rather than answers:
+``growth-nodes`` records how many candidates the growth search places
+before it runs out, and ``vertex-stars`` the cyclic order of every vertex
+star, which the bijection extension reads.  The inputs are seeded, and the copies carry
 fresh indices and labels, so the order of every search is pinned too.
 """
 
@@ -35,6 +38,7 @@ from trimat import (
     serialize_matrix,
     serialize_triangulation,
     standard,
+    vertex_star,
 )
 from trimat._search import search_bijections
 from trimat.catalog import CLOSED_SURFACES
@@ -49,6 +53,8 @@ GOLDEN = {
     "reconstruct-first": "677c49325da6f2b6d698db37ade5552e305cb500",
     "exceptional": "9ade9776cca6d774c27602d8a71be3c219a6ff4e",
     "placements": "2511dc66a348776e66e331d0badefc4e09b823a2",
+    "growth-nodes": "5d52630cdd114c24279809a2e9ceb2c3df30e424",
+    "vertex-stars": "deb3ed372ad007a18e41d78299d6d06db90d73c5",
     "realizations": "1d44366377665937f3a2fb417dae6a08e8f17365",
     "random-reconstruct": "bf5036b2b1d6ff2ef481ebfdb44b325af68db116",
     "random-kernel": "0ad47443087bdc70d6caf161f1e766aab2eced55",
@@ -135,6 +141,50 @@ def render_placements(_tmp):
         yield from map(repr, _grow(ncycle_matrix(n), DEFAULT_NODE_CAP))
 
 
+def growth_nodes(M):
+    """The smallest ``node_cap`` under which ``_grow`` runs M to
+    exhaustion: the number of candidates it places, found by bisection on
+    BudgetExceededError."""
+
+    def exhausts(cap):
+        try:
+            for _ in _grow(M, cap):
+                pass
+        except BudgetExceededError:
+            return False
+        return True
+
+    # A cap of -1 never exhausts; double hi until it does, then bisect.
+    lo, hi = -1, 1
+    while not exhausts(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if exhausts(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def render_growth_nodes(_tmp):
+    for label, K in surfaces():
+        yield f"{label} {growth_nodes(intersection_matrix(K))}"
+    for label, M in copy_matrices():
+        yield f"{label} {growth_nodes(M)}"
+    for n in range(3, 9):
+        yield f"n={n} {growth_nodes(ncycle_matrix(n))}"
+
+
+def render_vertex_stars(_tmp):
+    for label, K in surfaces():
+        yield label
+        yield from (f"{v} {vertex_star(K, v)}" for v in K.vertices())
+    for label, _, K2 in pairs():
+        yield label
+        yield from (f"{v} {vertex_star(K2, v)}" for v in K2.vertices())
+
+
 def render_realizations(_tmp):
     for n in range(3, 9):
         for realization, cls in enumerate_realizations(n):
@@ -200,6 +250,8 @@ RENDER = {
     "reconstruct-first": render_reconstruct_first,
     "exceptional": render_exceptional,
     "placements": render_placements,
+    "growth-nodes": render_growth_nodes,
+    "vertex-stars": render_vertex_stars,
     "realizations": render_realizations,
     "random-reconstruct": render_random_reconstruct,
     "random-kernel": render_random_kernel,
