@@ -74,7 +74,6 @@ entry-1 graph is connected, for the cycle oracle in ``cycles`` and for
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import BudgetExceededError
@@ -82,7 +81,7 @@ from .errors import BudgetExceededError
 if TYPE_CHECKING:
     from .intersection import IntersectionMatrix
 
-__all__ = ["iter_bijections", "search_bijections"]
+__all__ = ["iter_bijections"]
 
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -179,17 +178,6 @@ def iter_bijections(
         depth += 1
         r = order[depth]
         pending[depth] = iter(range(n) if parent[r] < 0 else neighbours2[image[parent[r]]])
-
-
-def search_bijections(
-    m1: tuple[tuple[int, ...], ...],
-    m2: tuple[tuple[int, ...], ...],
-    limit: int | None = None,
-) -> list[tuple[int, ...]]:
-    """All bijections, or the first ``limit`` of them, as a list."""
-    if limit is not None and limit <= 0:
-        return []
-    return list(islice(iter_bijections(m1, m2), limit))
 
 
 def _grow(

@@ -151,20 +151,19 @@ class CatalogEntry:
     n: int
     euler_characteristic: int
     orientable: bool | None  # None for the entries with boundary
-    closed: bool
 
 
 _ENTRIES: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        CatalogEntry("tetrahedron", _tetrahedron, 4, 2, True, True),
-        CatalogEntry("octahedron", _octahedron, 8, 2, True, True),
-        CatalogEntry("icosahedron", _icosahedron, 20, 2, True, True),
-        CatalogEntry("torus7", _torus7, 14, 0, True, True),
-        CatalogEntry("tp10", tp10, 10, 1, False, True),
-        CatalogEntry("tp12", tp12, 12, 1, False, True),
-        CatalogEntry("moebius5", moebius5, 5, 0, None, False),
-        CatalogEntry("moebius6", moebius6, 6, 0, None, False),
+        CatalogEntry("tetrahedron", _tetrahedron, 4, 2, True),
+        CatalogEntry("octahedron", _octahedron, 8, 2, True),
+        CatalogEntry("icosahedron", _icosahedron, 20, 2, True),
+        CatalogEntry("torus7", _torus7, 14, 0, True),
+        CatalogEntry("tp10", tp10, 10, 1, False),
+        CatalogEntry("tp12", tp12, 12, 1, False),
+        CatalogEntry("moebius5", moebius5, 5, 0, None),
+        CatalogEntry("moebius6", moebius6, 6, 0, None),
     ]
 }
 

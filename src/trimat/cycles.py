@@ -31,7 +31,7 @@ from . import catalog
 from ._search import DEFAULT_NODE_CAP, _grow
 from .complexes import Triangle
 from .errors import PatternError, TrichotomyError
-from .intersection import IntersectionMatrix
+from .intersection import IntersectionMatrix, intersection_dim
 
 __all__ = [
     "CycleClass",
@@ -129,9 +129,8 @@ def _check_is_realization(triangles: Sequence[Triangle]) -> None:
         raise PatternError(f"an n-cycle realization needs n >= 3, got {n}")
     target = ncycle_matrix(n)
     for i in range(n):
-        si = triangles[i].vertex_set
         for j in range(i + 1, n):
-            got = len(si & triangles[j].vertex_set) - 1
+            got = intersection_dim(triangles[i], triangles[j])
             if got != target[i, j]:
                 raise PatternError(
                     f"triangles {i} and {j} intersect in dimension {got}, "

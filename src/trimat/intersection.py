@@ -17,12 +17,13 @@ known by its star, the set of triangles that contain it, so
 the image of x's star, and the bijection extends exactly when every such
 image is a star.  A map that extends is induced by a vertex bijection and
 so preserves every entry: the extension certifies preservation, and only a
-map that does not extend is checked entry by entry.  ``isomorphic``
-decides whether two surfaces are simplicially isomorphic by walking the
-preserving bijections lazily until one extends.  The extension counts of
-the corpus checks (``verification``) share that walk, ``_extensions``,
-and read it to the end; it leaves validation to its callers, which
-validate each complex once, not once per map.
+map that does not extend is checked, by ``is_intersection_preserving``:
+K's matrix renumbered through the map (``permuted``) must equal K2's.
+``isomorphic`` decides whether two surfaces are simplicially isomorphic
+by walking the preserving bijections lazily until one extends.  The
+extension counts of the corpus checks (``verification``) share that walk,
+``_extensions``, and read it to the end; it leaves validation to its
+callers, which validate each complex once, not once per map.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -32,10 +33,11 @@ image indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator
 
-from ._search import iter_bijections, search_bijections
+from ._search import iter_bijections
 from .complexes import Triangle, Triangulation, _require_closed_surface
 from .errors import MappingError, ParseError
 
@@ -215,13 +217,9 @@ def is_intersection_preserving(
     K: Triangulation, K2: Triangulation, f: TriangleBijection
 ) -> bool:
     """True iff dim(s_i ∩ s_j) = dim(f(s_i) ∩ f(s_j)) for every pair,
-    that is, iff row f(i) of K2's matrix, read through f, is row i of K's."""
+    that is, iff K's matrix renumbered through f is K2's."""
     _check_sizes(K, K2, f)
-    if f.n == 1:
-        return True  # itemgetter of one index returns an entry, not a row
-    M, M2 = intersection_matrix(K).entries, intersection_matrix(K2).entries
-    through_f = itemgetter(*f.forward)
-    return all(through_f(M2[fi]) == row for fi, row in zip(f.forward, M))
+    return intersection_matrix(K).permuted(f) == intersection_matrix(K2)
 
 
 def _check_sizes(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> None:
@@ -252,7 +250,9 @@ def find_intersection_preserving_bijections(
     index order are sorted as a group before any of them is returned (see
     ``_search``).
     """
-    images = search_bijections(M.entries, M2.entries, limit)
+    if limit is not None and limit <= 0:
+        return []
+    images = islice(iter_bijections(M.entries, M2.entries), limit)
     return [TriangleBijection._trusted(img) for img in images]
 
 
@@ -291,7 +291,7 @@ def extend_to_simplicial(
     An extension is its own certificate of preservation: the vertex map φ
     it returns is a bijection with f(t) = φ(t) for every triangle t (see
     ``_extend``), so |f(s) ∩ f(t)| = |s ∩ t| for every pair.  So the
-    entry-by-entry check runs only when f does not extend, to tell a
+    preservation check runs only when f does not extend, to tell a
     non-extendable preserving map from one that preserves nothing.
 
     Raises MappingError if the sizes differ or f does not extend and is
@@ -301,7 +301,7 @@ def extend_to_simplicial(
     _require_closed_surface(K, "the first complex")
     _require_closed_surface(K2, "the second complex")
     _check_sizes(K, K2, f)
-    result = _extend(K, K2, f)
+    result = _extend(K, K2, f.forward)
     if isinstance(result, NonExtendable) and not is_intersection_preserving(K, K2, f):
         raise MappingError("bijection is not intersection preserving")
     return result
@@ -319,14 +319,12 @@ def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
     """
     _require_closed_surface(K, "the first complex")
     _require_closed_surface(K2, "the second complex")
-    return any(isinstance(r, Extended) for _, r in _extensions(K, K2))
+    return any(isinstance(r, Extended) for r in _extensions(K, K2))
 
 
-def _extensions(
-    K: Triangulation, K2: Triangulation
-) -> Iterator[tuple[TriangleBijection, ExtensionResult]]:
-    """Every preserving bijection f from K to K2, lazily in lexicographic
-    order, paired with its extension ``_extend(K, K2, f)``.
+def _extensions(K: Triangulation, K2: Triangulation) -> Iterator[ExtensionResult]:
+    """The extension ``_extend`` of every preserving bijection from K to
+    K2, lazily in lexicographic order of the bijections.
 
     Both complexes must be connected closed surfaces; the caller validates
     them, once, instead of once per map as ``extend_to_simplicial`` does.
@@ -335,13 +333,13 @@ def _extensions(
     """
     M, M2 = intersection_matrix(K), intersection_matrix(K2)
     for image in iter_bijections(M.entries, M2.entries):
-        f = TriangleBijection._trusted(image)
-        yield f, _extend(K, K2, f)
+        yield _extend(K, K2, image)
 
 
-def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> ExtensionResult:
-    """The vertex-map construction of ``extend_to_simplicial``, for callers
-    that have validated both complexes and hold an f of their size.
+def _extend(K: Triangulation, K2: Triangulation, image: tuple[int, ...]) -> ExtensionResult:
+    """The vertex-map construction of ``extend_to_simplicial`` for the
+    triangle bijection f with image sequence ``image``, for callers that
+    have validated both complexes and hold a bijection of their size.
 
     On a closed surface a vertex is known by its star, so x maps to the
     vertex of K2 whose star is f(star(x)), and the map extends exactly when
@@ -360,10 +358,10 @@ def _extend(K: Triangulation, K2: Triangulation, f: TriangleBijection) -> Extens
         vertex_of = K2._vertex_of_star = {
             frozenset(K2.triangles_at(y)): y for y in K2.vertices()
         }
-    image = f.forward.__getitem__
+    f = image.__getitem__
     vertex_map: dict[str, str] = {}
     for x in K.vertices():
-        y = vertex_of.get(frozenset(map(image, K.triangles_at(x))))
+        y = vertex_of.get(frozenset(map(f, K.triangles_at(x))))
         if y is None:
             return NonExtendable(witness_vertex=x)
         vertex_map[x] = y

@@ -235,7 +235,7 @@ def _count_extendable(K: Triangulation) -> tuple[int, int]:
     """(preserving self-bijections, those that extend), over the same walk
     ``isomorphic`` takes; K is validated once."""
     _require_closed_surface(K, "the complex")
-    results = [r for _, r in _extensions(K, K)]
+    results = list(_extensions(K, K))
     return len(results), sum(isinstance(r, Extended) for r in results)
 
 
@@ -323,7 +323,7 @@ def _check_matrix_invariants(trials: int = 100) -> tuple[bool, str]:
             )
         # Both complexes come out of reconstruct, which validated them.
         extensions = _extensions(result.complex, baseline[name].complex)
-        if not any(isinstance(r, Extended) for _, r in extensions):
+        if not any(isinstance(r, Extended) for r in extensions):
             return False, (
                 f"{name} permuted (trial {trial}): reconstruction not isomorphic "
                 "to the unpermuted one"

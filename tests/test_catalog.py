@@ -121,6 +121,14 @@ class TestStandardLookup:
         with pytest.raises(ValueError):
             standard("klein_bottle")
 
+    def test_bad_fan_size(self):
+        with pytest.raises(ValueError, match="bad disk_fan size 'x'"):
+            standard("disk_fan(x)")
+
+    def test_unknown_entry(self):
+        with pytest.raises(ValueError, match="unknown catalog name 'nope'"):
+            entry("nope")
+
     def test_names_listing(self):
         names = catalog_names()
         assert "tp10" in names and "disk_fan(n)" in names

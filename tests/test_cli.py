@@ -182,8 +182,8 @@ class TestMapCommands:
         assert (code, out.strip()) == (1, "no")
 
     def test_check_map_one_triangle(self, capsys, tmp_path):
-        # A one-row matrix takes the n = 1 branch of is_intersection_preserving;
-        # the check needs no closed surface.
+        # A one-row matrix takes the n = 1 branch of permuted, through which
+        # is_intersection_preserving compares; the check needs no closed surface.
         k = write(tmp_path, "k.tri", "a b c\n")
         b = write(tmp_path, "f.txt", "0\n")
         code, out, _ = run(capsys, "check-map", k, k, b)

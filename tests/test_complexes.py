@@ -191,6 +191,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_triangulation("# nothing\n")
 
+    def test_constructor_rejects_bad_triangle_lists(self):
+        t = Triangle(("a", "b", "c"))
+        with pytest.raises(ValueError, match="at least one triangle"):
+            Triangulation([])
+        with pytest.raises(TypeError, match="expected Triangle, got tuple"):
+            Triangulation([t, ("a", "b", "d")])
+        with pytest.raises(ValueError, match="duplicate triangle"):
+            Triangulation([t, Triangle(("c", "b", "a"))])
+
     def test_serialize_round_trip_tetra(self):
         K = parse_triangulation(TETRA_TEXT)
         assert parse_triangulation(serialize_triangulation(K)) == K

@@ -62,6 +62,10 @@ class TestCycleClass:
         with pytest.raises(ValueError):
             CycleClass("moebius6", 5)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown cycle class kind 'ring'"):
+            CycleClass("ring", 4)
+
 
 class TestClassifier:
     def test_fan_is_disk(self):

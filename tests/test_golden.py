@@ -40,7 +40,6 @@ from trimat import (
     standard,
     vertex_star,
 )
-from trimat._search import search_bijections
 from trimat.catalog import CLOSED_SURFACES
 from trimat.cli import main
 from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
@@ -241,7 +240,10 @@ def render_random_kernel(_tmp):
         else:
             m2 = symmetric(n, rng, lambda i, j: rng.choice((-1, 0, 0, 1, 1, 2)))
         limit = rng.choice((None, None, 0, 1, 2, 5))
-        yield f"{m1} {m2} {limit} {search_bijections(m1, m2, limit)}"
+        found = find_intersection_preserving_bijections(
+            IntersectionMatrix(m1), IntersectionMatrix(m2), limit
+        )
+        yield f"{m1} {m2} {limit} {[g.forward for g in found]}"
 
 
 RENDER = {

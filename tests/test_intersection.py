@@ -163,6 +163,10 @@ class TestIntersectionMatrix:
         one = IntersectionMatrix(((2,),))
         assert one.permuted(TriangleBijection.identity(1)) == one
 
+    def test_permuted_rejects_another_size(self, tp10):
+        with pytest.raises(MappingError, match="permutation size 4"):
+            intersection_matrix(tp10).permuted(TriangleBijection.identity(4))
+
 
 def matrix_by_definition(K):
     """The pairwise intersection dimensions, one triangle pair at a time."""
@@ -296,6 +300,10 @@ class TestCompositionAlgebra:
     def test_identity_composition(self):
         f = TriangleBijection((2, 0, 1))
         assert f.compose(f.inverse()).forward == (0, 1, 2)
+
+    def test_compose_rejects_another_size(self):
+        with pytest.raises(MappingError, match="cannot compose sizes 2 and 3"):
+            TriangleBijection((2, 0, 1)).compose(TriangleBijection((1, 0)))
 
     def test_rejects_non_permutation(self):
         with pytest.raises(MappingError):
@@ -512,6 +520,9 @@ class TestTextFormats:
             parse_matrix("1\nx\n")
         with pytest.raises(ParseError):
             parse_matrix("2\n2 9\n9 2\n")  # entry outside range
+        for text in ("x\n", "3 3\n"):
+            with pytest.raises(ParseError, match="expected the matrix size"):
+                parse_matrix(text)
 
     def test_bijection_round_trip(self):
         f = TriangleBijection((3, 1, 0, 2))

@@ -6,8 +6,19 @@ from itertools import permutations
 
 import pytest
 
-from trimat import TriangleBijection, intersection_matrix, standard
-from trimat._search import _near, _plan, search_bijections
+from trimat import (
+    IntersectionMatrix,
+    TriangleBijection,
+    find_intersection_preserving_bijections,
+    intersection_matrix,
+    standard,
+)
+from trimat._search import _near, _plan, iter_bijections
+
+
+def found(M, M2, limit=None):
+    """The image sequences of the preserving bijections from M to M2."""
+    return [g.forward for g in find_intersection_preserving_bijections(M, M2, limit)]
 
 
 def reference_search(m1, m2, limit=None):
@@ -46,20 +57,21 @@ class TestKernel:
                 )
             else:
                 m2 = random_matrix(n, rng)
-            got = search_bijections(m1, m2, None)
+            got = found(IntersectionMatrix(m1), IntersectionMatrix(m2))
             assert got == reference_search(m1, m2), (trial, n)
 
     def test_limit_prefix(self):
         M = intersection_matrix(standard("octahedron"))
-        full = search_bijections(M.entries, M.entries, None)
+        full = found(M, M)
         assert len(full) == 48
-        assert search_bijections(M.entries, M.entries, 7) == full[:7]
-        assert search_bijections(M.entries, M.entries, 0) == []
+        assert found(M, M, 7) == full[:7]
+        assert found(M, M, 0) == []
 
     def test_rows_must_have_equal_entry_multisets(self):
         # The two rows do not meet, so no entry >= 0 is checked between
         # them; only the row rule keeps -1 from being mapped onto 0.
-        assert search_bijections(((2, -1), (-1, 2)), ((2, 0), (0, 2))) == []
+        M, M2 = IntersectionMatrix(((2, -1), (-1, 2))), IntersectionMatrix(((2, 0), (0, 2)))
+        assert found(M, M2) == []
 
 
 def reindexed(M, seed):
@@ -79,10 +91,10 @@ class TestPlacementOrder:
         m1, m2 = reindexed(M, 1), reindexed(M, 2)
         order, _, _ = _plan(_near(m1.entries))
         assert order != sorted(order)
-        full = search_bijections(m1.entries, m2.entries, None)
+        full = found(m1, m2)
         assert full and full == sorted(full)
         for k in range(len(full) + 1):
-            assert search_bijections(m1.entries, m2.entries, k) == full[:k]
+            assert found(m1, m2, k) == full[:k]
 
     def test_no_edge_pairs_first_is_identity(self):
         # No entry-1 pair: every row is its own component and rows are
@@ -97,7 +109,7 @@ class TestPlacementOrder:
                 reads.append(j)
                 return tuple.__getitem__(self, j)
 
-        assert search_bijections(m, CountedRows(m), 1) == [tuple(range(n))]
+        assert next(iter_bijections(m, CountedRows(m))) == tuple(range(n))
         assert len(reads) < n * n  # one candidate image tried per row
 
     def test_matches_reference_with_several_components(self):
@@ -122,5 +134,5 @@ class TestPlacementOrder:
             m2 = tuple(map(tuple, m2))
             _, parent, _ = _plan(_near(m1))
             assert parent.count(-1) >= 2, trial
-            got = search_bijections(m1, m2, None)
+            got = found(IntersectionMatrix(m1), IntersectionMatrix(m2))
             assert got == reference_search(m1, m2), trial
