@@ -35,6 +35,21 @@ order, so the bijections that share the images of rows 0..k-1 come out
 together and the groups come out in ascending order; each group is sorted
 before it is yielded.
 
+Only the first map of each group after the first is searched for; the
+rest of its group comes from composition (the stabiliser-and-coset idea
+of Sims, 1970).  If g and g' are in one group, a = g^-1 o g' preserves m1
+and fixes rows 0..k-1; conversely g o a preserves for every such a.  So
+every group is h o Stab for any map h in it, where Stab = {g0^-1 o g : g
+in the first group} for any g0 in the first group, and this holds for any
+pair of valid matrices.  At the first map h of a later group the kernel
+yields the sorted h o a for a in Stab, frees the images at positions
+k-1..n-2 and resumes at position k-1, so the rest of that subtree is never
+searched; a group with no map is still searched to exhaustion.  Stab is
+built only when a second group is reached, since callers that want one
+map usually stop inside the first.  When the first group holds one map,
+so does every group: there is nothing to compose, and each group's
+subtree is searched in full.
+
 The growth search, ``_grow``, places one triangle per row of a matrix M
 along the plan.  Row 0 becomes the triangle (0, 1, 2).  Every later
 triangle v shares an edge {a, b} with its BFS parent, so it is that edge
@@ -143,6 +158,10 @@ def iter_bijections(
     image = [0] * n
     used = [False] * n
     group: list[tuple[int, ...]] = []
+    # first: the first group once yielded, or [] if it holds one map;
+    # stab: Stab, built at the first map of a later group.
+    first: list[tuple[int, ...]] | None = None
+    stab: list[tuple[int, ...]] = []
     # pending[p]: the images the row at position p has not tried yet.
     # Resuming a for loop over this iterator continues the scan where it
     # stopped.
@@ -168,11 +187,28 @@ def iter_bijections(
             if depth < k and group:
                 group.sort()
                 yield from group
+                if first is None:
+                    # Every group that is not empty holds as many maps as
+                    # the first; with one map each there is nothing to compose.
+                    first = group[:] if len(group) > 1 else []
                 group.clear()
             continue
         image[r] = j
         if depth + 1 == n:
-            group.append(tuple(image))
+            if not first:
+                group.append(tuple(image))
+                continue
+            # The first map h of a later group: yield h o Stab and skip the
+            # rest of the group's subtree.
+            if not stab:
+                inverse = [0] * n
+                for i, x in enumerate(first[0]):
+                    inverse[x] = i
+                stab = [tuple(map(inverse.__getitem__, g)) for g in first]
+            yield from sorted(tuple(map(image.__getitem__, a)) for a in stab)
+            for p in range(k - 1, depth):
+                used[image[order[p]]] = False
+            depth = k - 1
             continue
         used[j] = True
         depth += 1

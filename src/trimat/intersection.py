@@ -247,8 +247,11 @@ def find_intersection_preserving_bijections(
     neighbours of its BFS parent's image, at most 3 on a closed surface,
     whatever the indexing of the triangles.  To keep the order, the maps
     that share the images of the rows placed before the first one out of
-    index order are sorted as a group before any of them is returned (see
-    ``_search``).
+    index order are sorted as a group before any of them is returned.
+    Every group is one map composed with the group of M's automorphisms
+    that fix those rows, read off the first group, so after the first
+    group only one map per group is searched for and the rest are
+    composed (see ``_search``).
     """
     if limit is not None and limit <= 0:
         return []

@@ -67,7 +67,8 @@ def detect_exceptional(M: IntersectionMatrix) -> str | None:
     """Return "TP10"/"TP12" when M is permutation equivalent to the matrix
     of the corresponding projective-plane triangulation, else None.
 
-    Sizes other than 10 and 12 short-circuit immediately.
+    Sizes other than 10 and 12 short-circuit without a bijection search,
+    but only after ``_check_preconditions`` has scanned every row.
     """
     _check_preconditions(M)
     name = {10: "tp10", 12: "tp12"}.get(M.n)

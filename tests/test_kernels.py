@@ -21,6 +21,16 @@ def found(M, M2, limit=None):
     return [g.forward for g in find_intersection_preserving_bijections(M, M2, limit)]
 
 
+class CountedRows(tuple):
+    """A matrix whose row reads through indexing are counted in ``reads``."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return tuple.__getitem__(self, j)
+
+
 def reference_search(m1, m2, limit=None):
     n = len(m1)
     out = []
@@ -102,15 +112,9 @@ class TestPlacementOrder:
         # without the rest being enumerated.
         n = 9
         m = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
-        reads = []
-
-        class CountedRows(tuple):
-            def __getitem__(self, j):
-                reads.append(j)
-                return tuple.__getitem__(self, j)
-
-        assert next(iter_bijections(m, CountedRows(m))) == tuple(range(n))
-        assert len(reads) < n * n  # one candidate image tried per row
+        m2 = CountedRows(m)
+        assert next(iter_bijections(m, m2)) == tuple(range(n))
+        assert m2.reads < n * n  # one candidate image tried per row
 
     def test_matches_reference_with_several_components(self):
         # Entry 1 only inside blocks of rows, so the entry-1 graph has
@@ -136,3 +140,18 @@ class TestPlacementOrder:
             assert parent.count(-1) >= 2, trial
             got = found(IntersectionMatrix(m1), IntersectionMatrix(m2))
             assert got == reference_search(m1, m2), trial
+
+
+class TestCosets:
+    """After the first group, the kernel searches only for the first map of
+    each group and composes the rest from the first group's stabiliser."""
+
+    @pytest.mark.parametrize("name", ["octahedron", "icosahedron", "torus7", "tp10"])
+    def test_later_groups_are_composed_not_searched(self, name):
+        # Searching every map reads about one target row per row and map,
+        # or more; composing leaves most of those reads out.
+        M = intersection_matrix(standard(name))
+        for seed in range(10):
+            m2 = CountedRows(reindexed(M, seed).entries)
+            maps = sum(1 for _ in iter_bijections(M.entries, m2))
+            assert m2.reads < 0.75 * maps * M.n, seed
