@@ -172,31 +172,18 @@ CLOSED_SURFACES = ("tetrahedron", "octahedron", "icosahedron", "torus7", "tp10",
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_ENTRIES) + ("disk_fan(n)",)
+    """The names ``standard`` and ``entry`` accept, in catalog order."""
+    return tuple(_ENTRIES)
 
 
 def standard(name: str) -> Triangulation:
-    """Build a catalog complex by name.
-
-    Accepts the fixed names (tetrahedron, octahedron, icosahedron, torus7,
-    tp10, tp12, moebius5, moebius6) plus parameterized fans written as
-    ``disk_fan(n)``.
-    """
-    if name in _ENTRIES:
-        return _ENTRIES[name].builder()
-    if name.startswith("disk_fan(") and name.endswith(")"):
-        inner = name[len("disk_fan(") : -1]
-        try:
-            return disk_fan(int(inner))
-        except ValueError as exc:
-            raise ValueError(f"bad disk_fan size {inner!r}: {exc}") from None
-    raise ValueError(
-        f"unknown catalog name {name!r}; known: {', '.join(catalog_names())}"
-    )
+    """The catalog complex ``name``, one of ``catalog_names()``; ``disk_fan(n)`` builds fans."""
+    return entry(name).builder()
 
 
 def entry(name: str) -> CatalogEntry:
     try:
         return _ENTRIES[name]
     except KeyError:
-        raise ValueError(f"unknown catalog name {name!r}") from None
+        known = ", ".join(_ENTRIES)
+        raise ValueError(f"unknown catalog name {name!r}; known: {known}") from None

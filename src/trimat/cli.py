@@ -20,11 +20,12 @@ import sys
 from typing import Sequence
 
 from . import catalog, verification
-from .complexes import parse_triangulation, serialize_triangulation, vertex_star
+from .complexes import Triangulation, parse_triangulation, serialize_triangulation, vertex_star
 from .cycles import ORACLE_MAX_N, classify_realization, enumerate_realizations
 from .errors import TrichotomyError, TrimatError
 from .intersection import (
     Extended,
+    TriangleBijection,
     intersection_matrix,
     extend_to_simplicial,
     is_intersection_preserving,
@@ -65,11 +66,14 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_map(args: argparse.Namespace) -> tuple[Triangulation, Triangulation, TriangleBijection]:
+    """The two complexes and the bijection that ``check-map`` and ``extend`` read."""
+    K, K2 = (parse_triangulation(_read(path)) for path in (args.complex, args.complex2))
+    return K, K2, parse_bijection(_read(args.bijection))
+
+
 def _cmd_check_map(args: argparse.Namespace) -> int:
-    K = parse_triangulation(_read(args.complex))
-    K2 = parse_triangulation(_read(args.complex2))
-    f = parse_bijection(_read(args.bijection))
-    if is_intersection_preserving(K, K2, f):
+    if is_intersection_preserving(*_read_map(args)):
         print("yes")
         return EXIT_OK
     print("no")
@@ -77,10 +81,7 @@ def _cmd_check_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
-    K = parse_triangulation(_read(args.complex))
-    K2 = parse_triangulation(_read(args.complex2))
-    f = parse_bijection(_read(args.bijection))
-    result = extend_to_simplicial(K, K2, f)
+    result = extend_to_simplicial(*_read_map(args))
     if isinstance(result, Extended):
         print("Extended")
         for v in sorted(result.vertex_map):
@@ -200,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_corpus)
 
     p = sub.add_parser("gen", help="emit a catalog complex as .tri")
-    p.add_argument("--name", required=True, help=f"one of: {', '.join(catalog.catalog_names())}")
+    names = ", ".join(catalog.catalog_names())
+    p.add_argument("--name", required=True, help=f"one of: {names}, disk_fan (with --n)")
     p.add_argument("--n", type=int, default=None, help="size parameter for disk_fan")
     p.set_defaults(func=_cmd_gen)
 

@@ -25,7 +25,7 @@ vertices that ``intersection.extend_to_simplicial`` reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ParseError, SurfaceError
 
@@ -87,12 +87,6 @@ class Triangle:
         a, b, c = self.vertices
         return (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.vertex_set
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.vertices)
-
     def __str__(self) -> str:
         return " ".join(self.vertices)
 
@@ -148,15 +142,6 @@ class Triangulation:
     @property
     def n(self) -> int:
         return len(self.triangles)
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
-    def __getitem__(self, i: int) -> Triangle:
-        return self.triangles[i]
-
-    def __iter__(self) -> Iterator[Triangle]:
-        return iter(self.triangles)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):

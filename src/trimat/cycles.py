@@ -118,10 +118,6 @@ class CycleRealization:
     def __post_init__(self) -> None:
         _check_is_realization(self.triangles)
 
-    @property
-    def n(self) -> int:
-        return len(self.triangles)
-
 
 def _check_is_realization(triangles: Sequence[Triangle]) -> None:
     n = len(triangles)

@@ -115,9 +115,6 @@ class IntersectionMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def permuted(self, perm: "TriangleBijection") -> "IntersectionMatrix":
         """The matrix of the same complex with triangle i renumbered to
         perm(i): entry (perm(i), perm(j)) = entry (i, j)."""
@@ -128,9 +125,6 @@ class IntersectionMatrix:
         inv = perm.inverse().forward
         read = itemgetter(*inv) if self.n > 1 else tuple
         return IntersectionMatrix._trusted(tuple(read(self.entries[i]) for i in inv))
-
-    def __str__(self) -> str:
-        return serialize_matrix(self)
 
 
 def intersection_matrix(K: Triangulation) -> IntersectionMatrix:

@@ -114,24 +114,32 @@ class TestOpenEntries:
 
 
 class TestStandardLookup:
-    def test_parameterized_fan_name(self):
-        assert standard("disk_fan(5)").n == 5
+    def test_fan_is_not_a_name(self):
+        with pytest.raises(ValueError, match=r"unknown catalog name 'disk_fan\(5\)'"):
+            standard("disk_fan(5)")
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             standard("klein_bottle")
 
-    def test_bad_fan_size(self):
-        with pytest.raises(ValueError, match="bad disk_fan size 'x'"):
-            standard("disk_fan(x)")
-
     def test_unknown_entry(self):
         with pytest.raises(ValueError, match="unknown catalog name 'nope'"):
             entry("nope")
 
-    def test_names_listing(self):
+    def test_names_are_what_standard_builds(self):
         names = catalog_names()
-        assert "tp10" in names and "disk_fan(n)" in names
+        assert names == (
+            "tetrahedron",
+            "octahedron",
+            "icosahedron",
+            "torus7",
+            "tp10",
+            "tp12",
+            "moebius5",
+            "moebius6",
+        )
+        for name in names:
+            assert standard(name).n == entry(name).n
 
     def test_tp10_tp12_sizes_differ(self):
         # The two exceptional complexes can never be related by a triangle

@@ -70,6 +70,11 @@ class TestGenAndMatrix:
         assert (code, out) == (2, "")
         assert err == "error: disk_fan needs --n\n"
 
+    def test_gen_fan_size_is_not_part_of_the_name(self, capsys):
+        code, out, err = run(capsys, "gen", "--name", "disk_fan(7)")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown catalog name")
+
     def test_gen_n_only_for_disk_fan(self, capsys):
         code, out, err = run(capsys, "gen", "--name", "tp10", "--n", "5")
         assert (code, out) == (2, "")

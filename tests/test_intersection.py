@@ -117,7 +117,7 @@ class TestIntersectionMatrix:
         for name, K in corpus:
             M = intersection_matrix(K)
             for i in range(M.n):
-                assert sum(1 for v in M.row(i) if v == 1) == 3, name
+                assert sum(1 for v in M.entries[i] if v == 1) == 3, name
 
     def test_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError):
@@ -185,8 +185,8 @@ class TestMatrixConstruction:
         for seed, (name, K) in enumerate(corpus):
             once = subdivide(K)
             out += [(name, K), (f"{name}/1", once), (f"{name}/2", subdivide(once))]
-            out += [(f"{name}~", reindexed_relabelled(K, seed))]
-            out += [(f"{name}/1~", reindexed_relabelled(once, seed))]
+            out += [(f"{name}~", shuffled_relabelled(K, seed))]
+            out += [(f"{name}/1~", shuffled_relabelled(once, seed))]
         return out + [("disk_fan", disk_fan(5)), ("moebius5", moebius5()), ("moebius6", moebius6())]
 
     def test_matches_definition_and_validates(self, corpus):
@@ -349,7 +349,7 @@ class TestExtension:
 
     def test_counts_onto_reindexed_relabelled_copies(self, corpus):
         for seed, (name, K) in enumerate(corpus):
-            K2 = reindexed_relabelled(K, seed)
+            K2 = shuffled_relabelled(K, seed)
             maps = find_intersection_preserving_bijections(
                 intersection_matrix(K), intersection_matrix(K2)
             )
@@ -370,7 +370,7 @@ class TestExtension:
         # preserving maps walks each of the two complexes once.
         from trimat import complexes
 
-        K, K2 = Triangulation(tp10.triangles), reindexed_relabelled(tp10, 4)
+        K, K2 = Triangulation(tp10.triangles), shuffled_relabelled(tp10, 4)
         real = complexes._is_connected
         walked = []
 
@@ -431,7 +431,7 @@ class TestExtensionCertificate:
     )
     def test_raises_exactly_off_the_preserving_maps(self, name, maps, extended):
         K = standard(name)
-        K2 = reindexed_relabelled(K, 9)
+        K2 = shuffled_relabelled(K, 9)
         found = find_intersection_preserving_bijections(
             intersection_matrix(K), intersection_matrix(K2)
         )
@@ -456,7 +456,7 @@ class TestExtensionCertificate:
         assert refused >= 40
 
 
-def reindexed_relabelled(K, seed):
+def shuffled_relabelled(K, seed):
     """K with its triangles in a seeded order and its vertices renamed."""
     rng = random.Random(seed)
     order = list(range(K.n))
@@ -472,7 +472,7 @@ def reindexed_relabelled(K, seed):
 class TestIsomorphic:
     def test_reindexed_relabelled_copies(self, corpus):
         for seed, (name, K) in enumerate(corpus):
-            assert isomorphic(K, reindexed_relabelled(K, seed)), name
+            assert isomorphic(K, shuffled_relabelled(K, seed)), name
 
     def test_different_surfaces(self, tp10, tp12, tetrahedron, octahedron):
         assert not isomorphic(tp10, tp12)
@@ -493,7 +493,7 @@ class TestIsomorphic:
         # In this reindexing the lexicographically first preserving
         # bijection is one of tp10's 60 non-extendable self-maps, so an
         # answer taken from the first map alone would be False.
-        K2 = reindexed_relabelled(tp10, 1)
+        K2 = shuffled_relabelled(tp10, 1)
         M, M2 = intersection_matrix(tp10), intersection_matrix(K2)
         (first,) = find_intersection_preserving_bijections(M, M2, limit=1)
         assert isinstance(extend_to_simplicial(tp10, K2, first), NonExtendable)

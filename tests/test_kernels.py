@@ -8,12 +8,13 @@ import pytest
 
 from trimat import (
     IntersectionMatrix,
-    TriangleBijection,
     find_intersection_preserving_bijections,
     intersection_matrix,
     standard,
 )
 from trimat._search import _near, _plan, iter_bijections
+
+from test_robustness import reindexed
 
 
 def found(M, M2, limit=None):
@@ -82,12 +83,6 @@ class TestKernel:
         # them; only the row rule keeps -1 from being mapped onto 0.
         M, M2 = IntersectionMatrix(((2, -1), (-1, 2))), IntersectionMatrix(((2, 0), (0, 2)))
         assert found(M, M2) == []
-
-
-def reindexed(M, seed):
-    perm = list(range(M.n))
-    random.Random(seed).shuffle(perm)
-    return M.permuted(TriangleBijection(tuple(perm)))
 
 
 class TestPlacementOrder:
