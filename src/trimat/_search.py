@@ -1,26 +1,28 @@
 """The two searches over the entry-1 (dual) graph of an intersection matrix.
 
 Entry M[v][w] says how many vertices triangles v and w share, less one.
-``_near`` scans each matrix once and keeps, per row, the (column, entry)
+``_near`` reads a matrix's rows and keeps, per row, the (column, entry)
 pairs with entry >= 0: O(d) pairs on a closed surface of vertex degree at
 most d.  ``_plan`` places the rows in BFS order over the entry-1 graph,
 starting at row 0 and then at the lowest row not yet reached, so every
-row but a root shares an edge with its BFS parent.  Both searches place
+row but a root shares an edge with its BFS parent.  Both are facts of the
+matrix: ``IntersectionMatrix`` works each out on first use and keeps it
+(its ``_view`` and ``_plan``), so each matrix is read once however often
+it is searched, and both searches take matrices.  Both searches place
 rows in this order, check each against the placed rows that meet it and
 no others, and keep an explicit stack, so their depth is not bounded by
 the interpreter's recursion limit.  Both are generators: a caller that
 needs only some answers stops the search where it stops reading.
 
 The bijection kernel, ``iter_bijections``, yields every index bijection g
-with m2[g[i]][g[j]] == m1[i][j] for every i, j, in lexicographic order of
-the image sequence, and none when the sizes differ; its callers leave
-that check to it.  Row r of m1 maps only to a row of m2 whose view is
-as long as r's.  A root row tries every such image in ascending order.
-Every other row's image must be an entry-1 neighbour of its parent's
-image; on a closed surface that leaves at most 3 candidates (Weinberg's
-propagation idea for triangulations).
+with M2[g[i]][g[j]] == M1[i][j] for every i, j, once each, and none when
+the sizes differ; its callers leave that check to it.  Row r of M1 maps
+only to a row of M2 whose view is as long as r's.  A root row tries every
+such image in ascending order.  Every other row's image must be an
+entry-1 neighbour of its parent's image; on a closed surface that leaves
+at most 3 candidates (Weinberg's propagation idea for triangulations).
 
-Precondition: m1 and m2 are non-empty and symmetric, with 2 on the
+Precondition: M1 and M2 are non-empty and symmetric, with 2 on the
 diagonal and no negative entry other than -1 (``IntersectionMatrix``
 holds them to this).  The kernel enforces the rule on view
 lengths itself, and with it a complete bijection g that matches every
@@ -28,27 +30,30 @@ entry >= 0 also matches the -1 entries: the columns g(i) of the rows i
 that meet row r (r among them) already hold as many entries >= 0 as row
 g(r) has, so the rest of row g(r) is the rest of row r, all -1.
 
-The output stays lexicographic without sorting the whole enumeration.
-Let k be the length of the longest prefix of the placement order that is
-rows 0..k-1 in index order.  Those rows try their images in ascending
-order, so the bijections that share the images of rows 0..k-1 come out
-together and the groups come out in ascending order; each group is sorted
-before it is yielded.
+The kernel yields maps in search order.  Let k be the length of the
+longest prefix of the placement order that is rows 0..k-1 in index order
+(``_in_order``).  Those rows try their images in ascending order, so the
+maps that share the images of rows 0..k-1, a group, come out together,
+and the groups come out in ascending order.  Inside a group the order is
+the search's: the first group's maps come out as they are found, and a
+later group's as h o a for a in Stab (below).  A caller that wants one
+map stops at the first found; ``find_intersection_preserving_bijections``
+sorts each group, and is the one place that promises lexicographic order.
 
 Only the first map of each group after the first is searched for; the
 rest of its group comes from composition (the stabiliser-and-coset idea
-of Sims, 1970).  If g and g' are in one group, a = g^-1 o g' preserves m1
+of Sims, 1970).  If g and g' are in one group, a = g^-1 o g' preserves M1
 and fixes rows 0..k-1; conversely g o a preserves for every such a.  So
 every group is h o Stab for any map h in it, where Stab = {g0^-1 o g : g
 in the first group} for any g0 in the first group, and this holds for any
 pair of valid matrices.  At the first map h of a later group the kernel
-yields the sorted h o a for a in Stab, frees the images at positions
-k-1..n-2 and resumes at position k-1, so the rest of that subtree is never
-searched; a group with no map is still searched to exhaustion.  Stab is
-built only when a second group is reached, since callers that want one
-map usually stop inside the first.  When the first group holds one map,
-so does every group: there is nothing to compose, and each group's
-subtree is searched in full.
+yields h o a for a in Stab, frees the images at positions k-1..n-2 and
+resumes at position k-1, so the rest of that subtree is never searched; a
+group with no map is still searched to exhaustion.  Stab is built only
+when a second group is reached, since callers that want one map usually
+stop inside the first.  When the first group holds one map, so does every
+group: there is nothing to compose, and each group's subtree is searched
+in full.
 
 The growth search, ``_grow``, places one triangle per row of a matrix M
 along the plan.  Row 0 becomes the triangle (0, 1, 2).  Every later
@@ -141,26 +146,30 @@ def _plan(
     return order, parent, meets
 
 
+def _in_order(order: list[int]) -> int:
+    """The length k of the longest prefix of a placement order that is
+    rows 0..k-1 in index order; at least 1, since row 0 is placed first."""
+    return next((p for p, r in enumerate(order) if p != r), len(order))
+
+
 def iter_bijections(
-    m1: tuple[tuple[int, ...], ...],
-    m2: tuple[tuple[int, ...], ...],
+    M1: IntersectionMatrix, M2: IntersectionMatrix
 ) -> Iterator[tuple[int, ...]]:
-    n = len(m1)
-    if n != len(m2):
+    n = M1.n
+    if n != M2.n:
         return
-    near1, near2 = _near(m1), _near(m2)
-    order, parent, checks = _plan(near1)
-    # Rows 0..k-1 are placed first, in index order.
-    k = next((p for p, r in enumerate(order) if p != r), n)
-    neighbours2 = [[j for j, v in row if v == 1] for row in near2]
-    size1 = [len(row) for row in near1]
-    size2 = [len(row) for row in near2]
+    order, parent, checks = M1._plan
+    k = _in_order(order)
+    m2 = M2.entries
+    neighbours2 = [[j for j, v in row if v == 1] for row in M2._view]
+    size1 = list(map(len, M1._view))
+    size2 = list(map(len, M2._view))
     image = [0] * n
     used = [False] * n
-    group: list[tuple[int, ...]] = []
-    # first: the first group once yielded, or [] if it holds one map;
+    # first: the maps of the first group; done once that group is complete.
     # stab: Stab, built at the first map of a later group.
-    first: list[tuple[int, ...]] | None = None
+    first: list[tuple[int, ...]] = []
+    done = False
     stab: list[tuple[int, ...]] = []
     # pending[p]: the images the row at position p has not tried yet.
     # Resuming a for loop over this iterator continues the scan where it
@@ -184,19 +193,18 @@ def iter_bijections(
             depth -= 1
             if depth >= 0:
                 used[image[order[depth]]] = False
-            if depth < k and group:
-                group.sort()
-                yield from group
-                if first is None:
-                    # Every group that is not empty holds as many maps as
-                    # the first; with one map each there is nothing to compose.
-                    first = group[:] if len(group) > 1 else []
-                group.clear()
+            if depth < k and first:
+                done = True
             continue
         image[r] = j
         if depth + 1 == n:
-            if not first:
-                group.append(tuple(image))
+            # Every group that is not empty holds as many maps as the
+            # first; with one map each there is nothing to compose.
+            if not done or len(first) == 1:
+                h = tuple(image)
+                if not done:
+                    first.append(h)
+                yield h
                 continue
             # The first map h of a later group: yield h o Stab and skip the
             # rest of the group's subtree.
@@ -205,7 +213,8 @@ def iter_bijections(
                 for i, x in enumerate(first[0]):
                     inverse[x] = i
                 stab = [tuple(map(inverse.__getitem__, g)) for g in first]
-            yield from sorted(tuple(map(image.__getitem__, a)) for a in stab)
+            for a in stab:
+                yield tuple(map(image.__getitem__, a))
             for p in range(k - 1, depth):
                 used[image[order[p]]] = False
             depth = k - 1
@@ -229,7 +238,7 @@ def _grow(
     BudgetExceededError once more than ``node_cap`` candidates are placed.
     """
     n = M.n
-    order, parent, meets = _plan(_near(M.entries))
+    order, parent, meets = M._plan
     if parent.count(-1) != 1:
         return  # no rows, or the entry-1 graph is not connected
     # tri[v]: the vertices of placed triangle v; the root, row 0, is (0, 1, 2).

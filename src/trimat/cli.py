@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import catalog, verification
 from .complexes import Triangulation, parse_triangulation, serialize_triangulation, vertex_star
-from .cycles import ORACLE_MAX_N, classify_realization, enumerate_realizations
+from .cycles import ORACLE_MAX_N, classify_realization
 from .errors import TrichotomyError, TrimatError
 from .intersection import (
     Extended,
@@ -104,12 +104,12 @@ def _cmd_classify_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemma(args: argparse.Namespace) -> int:
-    ok, detail = verification._check_cycle_trichotomy(args.max_n)
+    ok, detail, enumerated = verification._cycle_trichotomy(args.max_n)
     if not ok:
         print(f"# verify-lemma: trichotomy REFUTED: {detail}")
         return EXIT_REFUTED
-    for n in range(3, args.max_n + 1):
-        for realization, cls in enumerate_realizations(n):
+    for n, results in enumerated:
+        for realization, cls in results:
             print(f"# n={n} class={cls}")
             sys.stdout.write(
                 "".join(f"{t}\n" for t in realization.triangles)

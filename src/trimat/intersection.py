@@ -33,10 +33,12 @@ image indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Iterator
 
+from . import _search
 from ._search import iter_bijections
 from .complexes import Triangle, Triangulation, _require_closed_surface
 from .errors import MappingError, ParseError
@@ -77,6 +79,12 @@ class IntersectionMatrix:
     The matrices the library makes itself are correct by construction and
     skip that check: ``intersection_matrix`` and ``permuted`` build them
     through ``_trusted``.
+
+    Besides its entries a matrix keeps two facts that both searches in
+    ``_search`` read, each worked out on first use: ``_view``, the sparse
+    rows of ``_search._near``, and ``_plan``, the placement plan of
+    ``_search._plan``.  So a matrix that is searched many times is read
+    once.  They take no part in equality, hashing or the repr.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -114,6 +122,16 @@ class IntersectionMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
+
+    # cached_property writes to the instance dict, which the frozen
+    # dataclass's __setattr__ does not guard.
+    @cached_property
+    def _view(self) -> list[list[tuple[int, int]]]:
+        return _search._near(self.entries)
+
+    @cached_property
+    def _plan(self) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+        return _search._plan(self._view)
 
     def permuted(self, perm: "TriangleBijection") -> "IntersectionMatrix":
         """The matrix of the same complex with triangle i renumbered to
@@ -233,24 +251,36 @@ def find_intersection_preserving_bijections(
     Returns the empty list when none exist (in particular when the sizes
     differ).  ``limit`` truncates the output to the first ``limit``
     bijections in lexicographic order of the image sequence.  The search
-    kernel matches rows only when they meet as many rows, a rule it
-    enforces itself, which is why it checks each row against the rows
-    that meet it and no others.  It places rows in BFS order over the
-    entry-1 (dual) graph of M, the plan that reconstruction also reads, so
-    each row after the first of its component maps to one of the entry-1
-    neighbours of its BFS parent's image, at most 3 on a closed surface,
-    whatever the indexing of the triangles.  To keep the order, the maps
-    that share the images of the rows placed before the first one out of
-    index order are sorted as a group before any of them is returned.
-    Every group is one map composed with the group of M's automorphisms
-    that fix those rows, read off the first group, so after the first
-    group only one map per group is searched for and the rest are
-    composed (see ``_search``).
+    kernel (see ``_search``) places rows in BFS order over the entry-1
+    (dual) graph of M, so each row after the first of its component maps
+    to one of the entry-1 neighbours of its BFS parent's image, at most 3
+    on a closed surface, whatever the indexing of the triangles.  It
+    yields maps in that search order, not lexicographically; this is the
+    one function that sorts them.
+
+    Sorting the whole enumeration is not needed.  Let k be the length of
+    the longest prefix of the placement order that is rows 0..k-1 in
+    index order.  Those rows try their images in ascending order, so the
+    maps that share the images of rows 0..k-1 (a group) come out together
+    and the groups come out in ascending order; each group is sorted
+    before any of it is returned.  The first group is known complete
+    when the next map comes out or the search ends.  Every group that is
+    not empty holds as many maps as the first, so a later group is
+    complete once it holds that many, and the search stops there when that
+    group fills ``limit``.
     """
     if limit is not None and limit <= 0:
         return []
-    images = islice(iter_bijections(M.entries, M2.entries), limit)
-    return [TriangleBijection._trusted(img) for img in images]
+    prefix = itemgetter(slice(0, _search._in_order(M._plan[0])))
+    out: list[tuple[int, ...]] = []
+    size = None  # maps per group, known once the first group is complete
+    for _, group in groupby(iter_bijections(M, M2), prefix):
+        images = sorted(islice(group, size))
+        size = len(images)
+        out += images
+        if limit is not None and len(out) >= limit:
+            break
+    return [TriangleBijection._trusted(img) for img in out[:limit]]
 
 
 # -- extension of a triangle bijection to a vertex map -----------------------
@@ -309,8 +339,9 @@ def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
 
     Every simplicial isomorphism induces an intersection-preserving
     triangle bijection, so it is enough to find one preserving bijection
-    that extends.  They are walked lazily in lexicographic order and the
-    walk stops at the first that extends; each complex is validated once.
+    that extends.  They are walked lazily in the kernel's search order and
+    the walk stops at the first that extends; each complex is validated
+    once.
 
     Raises SurfaceError if either complex is not a connected closed surface.
     """
@@ -321,15 +352,15 @@ def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
 
 def _extensions(K: Triangulation, K2: Triangulation) -> Iterator[ExtensionResult]:
     """The extension ``_extend`` of every preserving bijection from K to
-    K2, lazily in lexicographic order of the bijections.
+    K2, lazily in the search order of ``_search.iter_bijections``, which
+    yields each map as soon as it is found or composed.
 
     Both complexes must be connected closed surfaces; the caller validates
     them, once, instead of once per map as ``extend_to_simplicial`` does.
     The kernel yields only preserving maps, so they are not re-checked
     either.
     """
-    M, M2 = intersection_matrix(K), intersection_matrix(K2)
-    for image in iter_bijections(M.entries, M2.entries):
+    for image in iter_bijections(intersection_matrix(K), intersection_matrix(K2)):
         yield _extend(K, K2, image)
 
 

@@ -24,15 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalog
-from ._search import DEFAULT_NODE_CAP, _grow
+from ._search import DEFAULT_NODE_CAP, _grow, iter_bijections
 from .complexes import Triangle, Triangulation, validate_closed_surface
 from .errors import PatternError, ReconstructionError
-from .intersection import (
-    IntersectionMatrix,
-    find_intersection_preserving_bijections,
-    intersection_matrix,
-    isomorphic,
-)
+from .intersection import IntersectionMatrix, intersection_matrix, isomorphic
 
 __all__ = [
     "ReconstructionResult",
@@ -67,12 +62,14 @@ def detect_exceptional(M: IntersectionMatrix) -> str | None:
     """Return "TP10"/"TP12" when M is permutation equivalent to the matrix
     of the corresponding projective-plane triangulation, else None.
 
-    Sizes other than 10 and 12 short-circuit without a bijection search,
-    but only after ``_check_preconditions`` has scanned every row.
+    Any one preserving bijection from the stored matrix onto M settles
+    it, so the kernel's search stops at the first it finds.  Sizes other
+    than 10 and 12 short-circuit without a bijection search, but only
+    after ``_check_preconditions`` has scanned every row.
     """
     _check_preconditions(M)
     name = {10: "tp10", 12: "tp12"}.get(M.n)
-    if name and find_intersection_preserving_bijections(_exceptional_matrix(name), M, limit=1):
+    if name and next(iter_bijections(_exceptional_matrix(name), M), None) is not None:
         return name.upper()
     return None
 
@@ -97,13 +94,14 @@ def _check_preconditions(M: IntersectionMatrix) -> None:
             )
 
 
-def _build(
-    tri: tuple[tuple[int, int, int], ...], want: tuple[tuple[int, ...], ...]
-) -> Triangulation | None:
+def _build(tri: tuple[tuple[int, int, int], ...], M: IntersectionMatrix) -> Triangulation | None:
     """The complex with vertices relabelled v0, v1, ... in order of first
     appearance by triangle index, or None unless it is a closed surface
-    whose matrix is ``want``.  The placement's triples hold three distinct
-    vertices, so its triangles skip the label checks."""
+    whose matrix is M.  The placement's triples hold three distinct
+    vertices, so its triangles skip the label checks.  The complex's own
+    matrix is computed from its triangles; once it is shown equal to M, it
+    takes M's search view and plan (see ``IntersectionMatrix``) instead of
+    working them out again."""
     label: dict[int, str] = {}
     triangles = []
     for t in tri:
@@ -114,8 +112,11 @@ def _build(
     K = Triangulation(triangles)
     if not validate_closed_surface(K).is_closed_surface:
         return None
-    if intersection_matrix(K).entries != want:
+    own = intersection_matrix(K)
+    if own.entries != M.entries:
         return None
+    # A cached property is read from the instance dict once it is there.
+    own.__dict__.update(_view=M._view, _plan=M._plan)
     return K
 
 
@@ -140,7 +141,7 @@ def reconstruct(
     candidate triangles.
     """
     ambiguity = detect_exceptional(M)  # checks M's row conditions first
-    built = (_build(tri, M.entries) for tri in _grow(M, node_cap))
+    built = (_build(tri, M) for tri in _grow(M, node_cap))
     solutions = (K for K in built if K is not None)
     first = next(solutions, None)
     if first is None:

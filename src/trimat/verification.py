@@ -31,7 +31,13 @@ from .complexes import (
     orientability,
     validate_closed_surface,
 )
-from .cycles import classify_realization, enumerate_realizations, expected_classes
+from .cycles import (
+    CycleClass,
+    CycleRealization,
+    classify_realization,
+    enumerate_realizations,
+    expected_classes,
+)
 from .errors import PatternError, TrichotomyError
 from .intersection import (
     Extended,
@@ -191,28 +197,42 @@ def _check_catalog_soundness() -> tuple[bool, str]:
 
 
 def _check_cycle_trichotomy(max_n: int = 8) -> tuple[bool, str]:
+    passed, detail, _ = _cycle_trichotomy(max_n)
+    return passed, detail
+
+
+#: (n, enumerate_realizations(n)) for each cycle length n enumerated.
+_Enumerated = list[tuple[int, list[tuple[CycleRealization, CycleClass]]]]
+
+
+def _cycle_trichotomy(max_n: int) -> tuple[bool, str, _Enumerated]:
+    """The verdict of the cycle trichotomy check for n = 3..max_n, and the
+    realizations of each n it enumerated, so that ``trimat verify-lemma``
+    prints the ones it checked instead of enumerating them again."""
     counts = []
+    enumerated: _Enumerated = []
     for n in range(3, max_n + 1):
         try:
             results = enumerate_realizations(n)
         except TrichotomyError as exc:
-            return False, f"n={n}: {exc}"
+            return False, f"n={n}: {exc}", enumerated
+        enumerated.append((n, results))
         got = {cls for _, cls in results}
         if got != expected_classes(n):
             return False, (
                 f"n={n}: classes {sorted(map(str, got))} != "
                 f"expected {sorted(map(str, expected_classes(n)))}"
-            )
+            ), enumerated
         # The classifier already ran inside enumerate_realizations; run it
         # again on each survivor to make the agreement explicit.
         for realization, cls in results:
             if classify_realization(realization.triangles) != cls:
-                return False, f"n={n}: classifier disagrees with oracle"
+                return False, f"n={n}: classifier disagrees with oracle", enumerated
         counts.append(f"n={n}:{len(results)}")
     return True, (
         "exhaustive enumeration matches the disk/Moebius trichotomy "
         f"for n=3..{max_n} (realization counts {', '.join(counts)})"
-    )
+    ), enumerated
 
 
 def _check_round_trip() -> tuple[bool, str]:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import sys
 import tempfile
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from trimat import (
     catalog,
+    cycles,
     disk,
     find_intersection_preserving_bijections,
     intersection_matrix,
@@ -312,6 +314,24 @@ class TestVerifyLemma:
         for block in blocks:
             K = parse_triangulation(block)
             assert K.n >= 3
+
+    def test_enumerates_each_cycle_length_once(self, capsys, monkeypatch):
+        real = cycles.enumerate_realizations
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        # Patch every binding of the function, wherever it was imported.
+        for module in [m for name, m in sys.modules.items() if name.startswith("trimat")]:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+        code, out, _ = run(capsys, "verify-lemma", "--max-n", "8")
+        assert code == 0
+        assert calls == [3, 4, 5, 6, 7, 8]
+        assert "# n=8 class=Disk(8)" in out
 
     def test_verdict_is_the_trichotomy_check(self, capsys, monkeypatch):
         # With the bands left out of the expected classes, the acceptance

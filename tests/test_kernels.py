@@ -2,17 +2,20 @@
 brute-force reference."""
 
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
 from trimat import (
     IntersectionMatrix,
+    detect_exceptional,
     find_intersection_preserving_bijections,
     intersection_matrix,
     standard,
 )
 from trimat._search import _near, _plan, iter_bijections
+from trimat.catalog import CLOSED_SURFACES
+from trimat.reconstruct import _exceptional_matrix
 
 from test_robustness import reindexed
 
@@ -53,23 +56,28 @@ def random_matrix(n, rng):
     return tuple(tuple(row) for row in entries)
 
 
+def random_kernel_inputs():
+    """Forty random pairs, half of them a matrix and a reindexing of it."""
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        m1 = random_matrix(n, rng)
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m2 = tuple(
+                tuple(m1[perm.index(i)][perm.index(j)] for j in range(n))
+                for i in range(n)
+            )
+        else:
+            m2 = random_matrix(n, rng)
+        yield IntersectionMatrix(m1), IntersectionMatrix(m2)
+
+
 class TestKernel:
     def test_matches_reference_on_random_matrices(self):
-        rng = random.Random(2024)
-        for trial in range(40):
-            n = rng.randint(2, 6)
-            m1 = random_matrix(n, rng)
-            if rng.random() < 0.5:
-                perm = list(range(n))
-                rng.shuffle(perm)
-                m2 = tuple(
-                    tuple(m1[perm.index(i)][perm.index(j)] for j in range(n))
-                    for i in range(n)
-                )
-            else:
-                m2 = random_matrix(n, rng)
-            got = found(IntersectionMatrix(m1), IntersectionMatrix(m2))
-            assert got == reference_search(m1, m2), (trial, n)
+        for trial, (M, M2) in enumerate(random_kernel_inputs()):
+            assert found(M, M2) == reference_search(M.entries, M2.entries), (trial, M.n)
 
     def test_limit_prefix(self):
         M = intersection_matrix(standard("octahedron"))
@@ -108,7 +116,8 @@ class TestPlacementOrder:
         n = 9
         m = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
         m2 = CountedRows(m)
-        assert next(iter_bijections(m, m2)) == tuple(range(n))
+        M, M2 = IntersectionMatrix(m), IntersectionMatrix._trusted(m2)
+        assert next(iter_bijections(M, M2)) == tuple(range(n))
         assert m2.reads < n * n  # one candidate image tried per row
 
     def test_matches_reference_with_several_components(self):
@@ -148,5 +157,49 @@ class TestCosets:
         M = intersection_matrix(standard(name))
         for seed in range(10):
             m2 = CountedRows(reindexed(M, seed).entries)
-            maps = sum(1 for _ in iter_bijections(M.entries, m2))
+            maps = sum(1 for _ in iter_bijections(M, IntersectionMatrix._trusted(m2)))
             assert m2.reads < 0.75 * maps * M.n, seed
+
+
+def reindexed_surface_inputs():
+    """Ten pairs of reindexed copies of each catalog closed surface."""
+    for name in CLOSED_SURFACES:
+        M = intersection_matrix(standard(name))
+        for seed in range(10):
+            yield reindexed(M, seed), reindexed(M, seed + 10)
+
+
+class TestSearchOrder:
+    """The kernel yields maps in search order; only ``find`` sorts them,
+    one group (the maps that share the images of rows 0..k-1) at a time."""
+
+    @pytest.mark.parametrize(
+        "inputs", [random_kernel_inputs, reindexed_surface_inputs], ids=["random", "surfaces"]
+    )
+    def test_find_is_the_raw_stream_sorted_by_group(self, inputs):
+        for trial, (M, M2) in enumerate(inputs()):
+            raw = list(iter_bijections(M, M2))
+            assert len(set(raw)) == len(raw), trial
+            got = found(M, M2)
+            assert sorted(raw) == sorted(got), trial
+            order, _, _ = _plan(_near(M.entries))
+            k = next((p for p, r in enumerate(order) if p != r), M.n)
+            heads, by_group = [], []
+            for head, group in groupby(raw, key=lambda g: g[:k]):
+                heads.append(head)
+                by_group += sorted(group)
+            # Groups are contiguous and ascending.
+            assert heads == sorted(set(heads)), trial
+            assert got == by_group, trial
+
+    @pytest.mark.parametrize("name", ["tp10", "tp12"])
+    def test_exceptional_detection_stops_at_the_first_map(self, name):
+        # ``find`` with limit 1 must sort the first group, so it reads it
+        # all; detection needs any one map and stops at the first.
+        source = _exceptional_matrix(name)
+        for seed in range(10):
+            m = reindexed(source, seed).entries
+            detected, listed = CountedRows(m), CountedRows(m)
+            assert detect_exceptional(IntersectionMatrix._trusted(detected)) == name.upper()
+            assert found(source, IntersectionMatrix._trusted(listed), 1)
+            assert detected.reads < listed.reads, seed

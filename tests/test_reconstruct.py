@@ -12,6 +12,7 @@ from trimat import (
     ReconstructionError,
     TriangleBijection,
     detect_exceptional,
+    intersection_dim,
     intersection_matrix,
     isomorphic,
     moebius5,
@@ -20,6 +21,8 @@ from trimat import (
     validate_closed_surface,
 )
 from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
+
+from test_robustness import reindexed
 
 
 def unrealizable_6x6():
@@ -110,21 +113,44 @@ class TestReconstruct:
     def test_checks_the_matrix_once(self, corpus, monkeypatch):
         module = importlib.import_module("trimat.reconstruct")
         search = importlib.import_module("trimat._search")
-        check, near = module._check_preconditions, search._near
-        calls, views = [], []
+        check, near, plan = module._check_preconditions, search._near, search._plan
+        for name, K in corpus:
+            # The stored tp10 and tp12 matrices hold their own views.
+            detect_exceptional(intersection_matrix(K))
+        calls, views, plans = [], [], []
         monkeypatch.setattr(
             module, "_check_preconditions", lambda M: (calls.append(M), check(M))
         )
         monkeypatch.setattr(search, "_near", lambda m: (views.append(m), near(m))[1])
-        for name, K in corpus:
+        monkeypatch.setattr(search, "_plan", lambda v: (plans.append(v), plan(v))[1])
+        for seed, (name, K) in enumerate(corpus):
+            M = reindexed(intersection_matrix(K), seed)
             calls.clear()
             views.clear()
-            reconstruct(intersection_matrix(K))
-            assert len(calls) == 1, name
-            # tp10 and tp12 also run the bijection kernel, which builds
-            # views of its own; elsewhere only the growth search builds one.
-            if name not in ("tp10", "tp12"):
-                assert len(views) == 1, name
+            plans.clear()
+            reconstruct(M)
+            assert calls == [M], name
+            # One view and one plan of M serve the bijection kernel, the
+            # growth search and the isomorphism checks between solutions.
+            assert len(views) == 1 and views[0] is M.entries, name
+            assert len(plans) == 1 and plans[0] is M._view, name
+            views.clear()
+            plans.clear()
+            reconstruct(M)
+            assert views == [] and plans == [], name
+
+    def test_answer_matrix_is_computed_from_its_triangles(self, corpus):
+        # The round-trip criterion compares two matrices worked out
+        # independently: the answer's must not be M itself.
+        for seed, (name, K) in enumerate(corpus):
+            M = reindexed(intersection_matrix(K), seed)
+            L = reconstruct(M).complex
+            own = intersection_matrix(L)
+            assert own is not M and own.entries is not M.entries, name
+            dense = tuple(
+                tuple(intersection_dim(s, t) for t in L.triangles) for s in L.triangles
+            )
+            assert own.entries == dense == M.entries, name
 
     def test_permutation_invariance(self, corpus):
         rng = random.Random(404)
