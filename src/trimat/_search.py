@@ -243,9 +243,10 @@ def _grow(
         return  # no rows, or the entry-1 graph is not connected
     # tri[v]: the vertices of placed triangle v; the root, row 0, is (0, 1, 2).
     tri: list[tuple[int, int, int]] = [(0, 1, 2)] * n
-    # at[x]: the placed triangles holding vertex x; len(at) is the next
-    # fresh vertex.
-    at: list[list[int]] = [[0], [0], [0]]
+    # inc[x]: inc(x) of the incidence-count rule, the number of placed
+    # triangles holding vertex x; vertices 0..len(inc)-1 are used, so
+    # len(inc) is the next fresh vertex.
+    inc = [1, 1, 1]
     # live[k]: vertices 0 and 1 are still interchangeable when order[k]
     # is placed.
     live = [True] * (n + 1)
@@ -254,14 +255,13 @@ def _grow(
     # the placed triangles, M[v][w] + 1 summed over the w it meets.
     total = [sum(value + 1 for _, value in meet) for meet in meets]
 
-    def candidates(k: int) -> list[tuple[int, int, int]]:
+    def candidates(k: int) -> Iterator[tuple[int, int, int]]:
         p0, p1, p2 = tri[parent[order[k]]]
         meet = meets[k]
-        fresh = len(at)
-        out = []
+        fresh = len(inc)
         for a, b in ((p0, p1),) if k == 1 else ((p0, p1), (p0, p2), (p1, p2)):
             # The apex must bring exactly the incidences a and b leave.
-            rest = total[k] - len(at[a]) - len(at[b])
+            rest = total[k] - inc[a] - inc[b]
             if rest < 0:
                 continue
             apexes: tuple[int, ...] = (fresh,)
@@ -272,7 +272,7 @@ def _grow(
                     apexes = t if need == 1 else ()
                     break
             for z in apexes:
-                if z == a or z == b or (len(at[z]) if z < fresh else 0) != rest:
+                if z == a or z == b or (inc[z] if z < fresh else 0) != rest:
                     continue
                 t = (a, b, z)
                 if live[k] and 1 in t and 0 not in t:
@@ -284,14 +284,15 @@ def _grow(
                     if (a in placed) + (b in placed) + (z in placed) != value + 1:
                         break
                 else:
-                    out.append(t)
-        return out
+                    yield t
 
     nodes = 0
-    # The explicit stack: pending[k] holds the candidates for order[k]
-    # not tried yet, for every k below the current depth.
+    # The explicit stack: pending[k] yields the candidates for order[k]
+    # not tried yet, for every k below the current depth.  A resumed
+    # generator sees the state it started from: backtracking restores tri
+    # and inc before position k asks for its next candidate.
     pending = [iter(())] * n
-    pending[1] = iter(candidates(1))
+    pending[1] = candidates(1)
     k = 1
     while k >= 1:
         if k < n:
@@ -304,13 +305,13 @@ def _grow(
                     )
                 tri[order[k]] = t
                 for x in t:
-                    if x == len(at):
-                        at.append([])
-                    at[x].append(order[k])
+                    if x == len(inc):
+                        inc.append(0)
+                    inc[x] += 1
                 live[k + 1] = live[k] and (0 in t) == (1 in t)
                 k += 1
                 if k < n:
-                    pending[k] = iter(candidates(k))
+                    pending[k] = candidates(k)
                 continue
         else:
             yield tuple(tri)
@@ -318,6 +319,6 @@ def _grow(
         k -= 1
         if k >= 1:
             for x in tri[order[k]]:
-                at[x].pop()
-            if not at[-1]:
-                at.pop()
+                inc[x] -= 1
+            if not inc[-1]:
+                inc.pop()

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,12 +17,14 @@ from trimat import (
     intersection_matrix,
     isomorphic,
     moebius5,
+    ncycle_matrix,
     reconstruct,
     standard,
     validate_closed_surface,
 )
 from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
 
+from test_kernels import random_matrix
 from test_robustness import reindexed
 
 
@@ -169,11 +172,101 @@ class TestReconstruct:
                 assert isomorphic(result.complex, base.complex), name
 
 
+def brute_placements(M):
+    """Every exact placement of M, found plainly: rows in index order, each
+    trying every triangle over the used vertices and the next fresh ones,
+    fresh vertices taken in order, kept when it shares exactly
+    M[i][j] + 1 vertices with every earlier row j."""
+    m, n = M.entries, M.n
+    found, tri = [], []
+
+    def place(i, used):
+        if i == n:
+            found.append(tuple(tri))
+            return
+        for t in combinations(range(used + 3), 3):
+            new = sum(x >= used for x in t)
+            if t[3 - new :] != tuple(range(used, used + new)):
+                continue
+            if all(len(set(t).intersection(tri[j])) == m[i][j] + 1 for j in range(i)):
+                tri.append(t)
+                place(i + 1, used + new)
+                tri.pop()
+
+    place(0, 0)
+    return found
+
+
+def shape(placement):
+    """A placement up to renaming of vertices: the sorted tuple of each
+    vertex's rows."""
+    rows = {}
+    for r, t in enumerate(placement):
+        for x in t:
+            rows.setdefault(x, []).append(r)
+    return tuple(sorted(map(tuple, rows.values())))
+
+
+def entry_one_connected(rows):
+    seen, todo = {0}, [0]
+    while todo:
+        r = todo.pop()
+        for s, v in enumerate(rows[r]):
+            if v == 1 and s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return len(seen) == len(rows)
+
+
+def random_patterns(seed):
+    """60 symmetric patterns of 2 to 7 rows whose entry-1 graph is
+    connected: 30 with entries drawn at random, most of which no triangles
+    realize, and 30 read off random triangles over 6 vertices, repeats
+    allowed, which some placement realizes by construction."""
+    rng = random.Random(seed)
+    drawn, realized = [], []
+    while len(drawn) < 30 or len(realized) < 30:
+        n = rng.randint(2, 7)
+        tris = [set(rng.sample(range(6), 3)) for _ in range(n)]
+        read_off = tuple(tuple(len(s & t) - 1 for t in tris) for s in tris)
+        for found, rows in ((drawn, random_matrix(n, rng)), (realized, read_off)):
+            if len(found) < 30 and entry_one_connected(rows):
+                found.append(IntersectionMatrix(rows))
+    return drawn + realized
+
+
+class TestGrowAgainstBruteForce:
+    """``_grow`` yields each exact placement once up to renaming of
+    vertices, and misses none that a plain search finds."""
+
+    @staticmethod
+    def agree(M):
+        grown = [shape(p) for p in _grow(M, DEFAULT_NODE_CAP)]
+        assert len(set(grown)) == len(grown)
+        assert set(grown) == set(map(shape, brute_placements(M)))
+        return len(grown)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_cycles(self, n):
+        assert self.agree(ncycle_matrix(n)) >= 1
+
+    def test_corpus(self, corpus):
+        for name, K in corpus:
+            assert self.agree(intersection_matrix(K)) >= 1, name
+
+    def test_reindexed(self, octahedron, tp10, tp12):
+        for seed, K in enumerate((octahedron, tp10, tp12)):
+            assert self.agree(reindexed(intersection_matrix(K), seed)) >= 1
+
+    def test_random_patterns(self):
+        counts = [self.agree(M) for M in random_patterns(20)]
+        # The 30 patterns read off triangles all have a placement.
+        assert all(counts[30:])
+
+
 class TestReconstructErrors:
     def test_row_condition(self):
         # The 4-cycle pattern has only two edge-neighbours per triangle.
-        from trimat import ncycle_matrix
-
         with pytest.raises(PatternError):
             reconstruct(ncycle_matrix(4))
 
