@@ -40,20 +40,44 @@ later group's as h o a for a in Stab (below).  A caller that wants one
 map stops at the first found; ``find_intersection_preserving_bijections``
 sorts each group, and is the one place that promises lexicographic order.
 
-Only the first map of each group after the first is searched for; the
-rest of its group comes from composition (the stabiliser-and-coset idea
-of Sims, 1970).  If g and g' are in one group, a = g^-1 o g' preserves M1
-and fixes rows 0..k-1; conversely g o a preserves for every such a.  So
-every group is h o Stab for any map h in it, where Stab = {g0^-1 o g : g
-in the first group} for any g0 in the first group, and this holds for any
-pair of valid matrices.  At the first map h of a later group the kernel
-yields h o a for a in Stab, frees the images at positions k-1..n-2 and
-resumes at position k-1, so the rest of that subtree is never searched; a
-group with no map is still searched to exhaustion.  Stab is built only
-when a second group is reached, since callers that want one map usually
-stop inside the first.  When the first group holds one map, so does every
-group: there is nothing to compose, and each group's subtree is searched
-in full.
+Only the first group is searched in full; a later group comes from one
+map h of it by composition (the stabiliser-and-coset idea of Sims,
+1970).  If g and g' are in one group, a = g^-1 o g' preserves M1 and
+fixes rows 0..k-1; conversely g o a preserves for every such a.  So every
+group is h o Stab for any map h in it, where Stab = {g0^-1 o g : g in the
+first group} and g0 is the first map found, and this holds for any pair
+of valid matrices.
+
+Most later groups need no search for h either (the orbit idea of McKay,
+1981).  A group whose maps send rows 0..k-1 to P has the prefix Q =
+g0^-1(P) on the M1 side: for each h in it, g0^-1 o h is an automorphism
+of M1 whose images of rows 0..k-1 are Q.  The kernel keeps a table,
+seen, from the Q of each group visited to one such automorphism, and a
+list, autos, of the automorphisms g0^-1 o h for the maps h it searched
+for, each with its inverse.  When the prefix of a later group is placed,
+it looks for an s in autos such that s or s^-1 carries a visited Q' onto
+Q.  If s does, s o seen[Q'] is an automorphism with prefix Q, and the
+group is g0 o s o seen[Q'] o Stab: it is yielded with no search, and Q
+joins seen.  Otherwise the group is searched.  At its first map h the
+kernel yields h o Stab, records g0^-1 o h in seen and autos, frees the
+images at positions k-1..n-2 and resumes at position k-1, so the rest of
+that subtree is never searched.  A first group of one map composes too,
+with Stab = {identity}, unless k == n: then a group is one complete map,
+and nothing is looked up, composed or recorded.
+
+A group with no map is still searched to exhaustion.  The lookup never
+finds it, since an s that carried a visited prefix onto it would give it
+a map.  Skipping it would take a second table, of the prefixes whose
+search failed; on the catalog's surfaces that did not pay.
+
+Nothing is composed ahead of the caller.  The table holds the groups
+visited so far, one automorphism each, so its memory stays within the
+output, and a lookup costs at most 2 len(autos) prefix images, one entry
+of autos per group searched.  So a caller that stops early (``limit``,
+``isomorphic``, ``detect_exceptional``, extension) leaves every group
+after the last one it reads unvisited.  Stab is built at the first map
+of a later group and the table once that group is yielded, since callers
+that want one map usually stop inside the first group or at that map.
 
 The growth search, ``_grow``, places one triangle per row of a matrix M
 along the plan.  Row 0 becomes the triangle (0, 1, 2).  Every later
@@ -167,10 +191,19 @@ def iter_bijections(
     image = [0] * n
     used = [False] * n
     # first: the maps of the first group; done once that group is complete.
-    # stab: Stab, built at the first map of a later group.
+    # Built at the first map of a later group (k < n only): g0 and its
+    # inverse, Stab, seen (each visited group's prefix Q -> one automorphism
+    # of M1 with prefix Q) and autos (g0^-1 o h for each map h searched for,
+    # with its inverse); seen and autos only once that group is yielded.
+    # Maps to compose through are lists: a list's __getitem__ is a fast
+    # method, a tuple's a slow slot wrapper.
     first: list[tuple[int, ...]] = []
     done = False
+    g0: list[int] = []
+    inverse0 = [0] * n
     stab: list[tuple[int, ...]] = []
+    seen: dict[tuple[int, ...], list[int]] = {}
+    autos: list[tuple[list[int], list[int]]] = []
     # pending[p]: the images the row at position p has not tried yet.
     # Resuming a for loop over this iterator continues the scan where it
     # stopped.
@@ -198,27 +231,53 @@ def iter_bijections(
             continue
         image[r] = j
         if depth + 1 == n:
-            # Every group that is not empty holds as many maps as the
-            # first; with one map each there is nothing to compose.
-            if not done or len(first) == 1:
+            # With k == n every group is one complete map: nothing to compose.
+            if not done or k == n:
                 h = tuple(image)
                 if not done:
                     first.append(h)
                 yield h
                 continue
-            # The first map h of a later group: yield h o Stab and skip the
-            # rest of the group's subtree.
+            # The first map h of a later group the search reached: yield
+            # h o Stab and skip the rest of the group's subtree.
             if not stab:
-                inverse = [0] * n
-                for i, x in enumerate(first[0]):
-                    inverse[x] = i
-                stab = [tuple(map(inverse.__getitem__, g)) for g in first]
+                g0 = list(first[0])
+                for i, x in enumerate(g0):
+                    inverse0[x] = i
+                stab = [tuple(map(inverse0.__getitem__, g)) for g in first]
             for a in stab:
                 yield tuple(map(image.__getitem__, a))
+            if not seen:
+                seen[tuple(range(k))] = list(range(n))
+            alpha = list(map(inverse0.__getitem__, image))
+            alpha_inv = [0] * n
+            for i, x in enumerate(alpha):
+                alpha_inv[x] = i
+            seen[tuple(alpha[:k])] = alpha
+            autos.append((alpha, alpha_inv))
             for p in range(k - 1, depth):
                 used[image[order[p]]] = False
             depth = k - 1
             continue
+        if autos and depth + 1 == k:
+            # A later group's prefix: composed, with no search, if a known
+            # automorphism s or its inverse carries a visited prefix onto it.
+            q = tuple(map(inverse0.__getitem__, image[:k]))
+            for s, s_inv in autos:
+                beta = seen.get(tuple(map(s_inv.__getitem__, q)))
+                if beta is not None:
+                    beta = list(map(s.__getitem__, beta))
+                    break
+                beta = seen.get(tuple(map(s.__getitem__, q)))
+                if beta is not None:
+                    beta = list(map(s_inv.__getitem__, beta))
+                    break
+            if beta is not None:
+                seen[q] = beta
+                h = list(map(g0.__getitem__, beta))
+                for a in stab:
+                    yield tuple(map(h.__getitem__, a))
+                continue
         used[j] = True
         depth += 1
         r = order[depth]

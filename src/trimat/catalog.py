@@ -3,7 +3,8 @@
 Two families live here: the named projective-plane triangulations tp10 and
 tp12 with their fixed a_i/x labelings, and a handful of standard surfaces
 (platonic sphere triangulations, the 7-vertex torus) plus the three
-cycle-link models (disk fan, the 5- and 6-triangle Moebius bands).
+cycle-link models (disk fan, the 5- and 6-triangle Moebius bands).  The
+private ``_grid_torus(a, b)`` builds the 6-regular tori of any size.
 
 Labelings are fixed so fixtures and CLI output are reproducible
 byte-for-byte.
@@ -139,6 +140,25 @@ def _torus7() -> Triangulation:
         tris.append((f"v{i}", f"v{(i + 1) % 7}", f"v{(i + 3) % 7}"))
     for i in range(7):
         tris.append((f"v{i}", f"v{(i + 2) % 7}", f"v{(i + 3) % 7}"))
+    return Triangulation(Triangle(vs) for vs in tris)
+
+
+def _grid_torus(a: int, b: int) -> Triangulation:
+    """The 6-regular torus T(a, b): vertices (i, j) mod (a, b), two
+    triangles per unit square, n = 2ab.  When a == b its matrix has 6n
+    preserving self-maps, which makes it the kernel's symmetric test
+    family.  Private: no CLI name, and not in ``CLOSED_SURFACES``."""
+    if a < 3 or b < 3:
+        raise ValueError(f"a grid torus needs a, b >= 3, got {a}, {b}")
+
+    def v(i: int, j: int) -> str:
+        return f"v{i % a}_{j % b}"
+
+    tris = []
+    for i in range(a):
+        for j in range(b):
+            tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            tris.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     return Triangulation(Triangle(vs) for vs in tris)
 
 

@@ -267,7 +267,10 @@ def find_intersection_preserving_bijections(
     when the next map comes out or the search ends.  Every group that is
     not empty holds as many maps as the first, so a later group is
     complete once it holds that many, and the search stops there when that
-    group fills ``limit``.
+    group fills ``limit``.  The kernel composes a later group from the
+    automorphisms of M it has found so far, with no search, when it can;
+    it computes nothing ahead of what is read, so ``limit`` bounds the
+    work as well as the output.
     """
     if limit is not None and limit <= 0:
         return []
@@ -386,7 +389,8 @@ def _extend(K: Triangulation, K2: Triangulation, image: tuple[int, ...]) -> Exte
         vertex_of = K2._vertex_of_star = {
             frozenset(K2.triangles_at(y)): y for y in K2.vertices()
         }
-    f = image.__getitem__
+    # A list's __getitem__ is a fast method, a tuple's a slow slot wrapper.
+    f = list(image).__getitem__
     vertex_map: dict[str, str] = {}
     for x in K.vertices():
         y = vertex_of.get(frozenset(map(f, K.triangles_at(x))))

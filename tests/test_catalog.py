@@ -15,7 +15,7 @@ from trimat import (
     tp12,
     validate_closed_surface,
 )
-from trimat.catalog import CLOSED_SURFACES, catalog_names, entry
+from trimat.catalog import CLOSED_SURFACES, _grid_torus, catalog_names, entry
 
 
 TP10_TEXT = """\
@@ -88,6 +88,20 @@ class TestClosedEntries:
     def test_torus7_counts(self):
         K = standard("torus7")
         assert (len(K.vertices()), len(K.edges()), K.n) == (7, 21, 14)
+
+    @pytest.mark.parametrize("a,b", [(3, 3), (3, 5), (4, 6), (8, 8)])
+    def test_grid_torus(self, a, b):
+        K = _grid_torus(a, b)
+        assert validate_closed_surface(K).is_closed_surface
+        assert K.n == 2 * a * b
+        assert euler_characteristic(K) == 0
+        assert orientability(K) is True
+        assert {K.degree(v) for v in K.vertices()} == {6}
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (0, 5)])
+    def test_grid_torus_needs_three_rows_and_columns(self, a, b):
+        with pytest.raises(ValueError, match="a, b >= 3"):
+            _grid_torus(a, b)
 
 
 class TestOpenEntries:

@@ -2,27 +2,42 @@
 brute-force reference."""
 
 import random
+import tracemalloc
 from itertools import groupby, permutations
 
 import pytest
 
 from trimat import (
+    Extended,
     IntersectionMatrix,
     detect_exceptional,
     find_intersection_preserving_bijections,
     intersection_matrix,
     standard,
 )
-from trimat._search import _near, _plan, iter_bijections
-from trimat.catalog import CLOSED_SURFACES
+from trimat._search import _in_order, _near, _plan, iter_bijections
+from trimat.catalog import CLOSED_SURFACES, _grid_torus
+from trimat.intersection import _extensions
 from trimat.reconstruct import _exceptional_matrix
+from trimat.verification import simplicial_automorphisms
 
-from test_robustness import reindexed
+from test_robustness import reindexed, reindexed_relabelled
 
 
 def found(M, M2, limit=None):
     """The image sequences of the preserving bijections from M to M2."""
     return [g.forward for g in find_intersection_preserving_bijections(M, M2, limit)]
+
+
+def sorted_by_group(raw, k):
+    """A raw kernel stream with each run of maps sharing the images of rows
+    0..k-1 sorted in place; the runs must ascend."""
+    heads, out = [], []
+    for head, group in groupby(raw, key=lambda g: g[:k]):
+        heads.append(head)
+        out += sorted(group)
+    assert heads == sorted(set(heads))
+    return out
 
 
 class CountedRows(tuple):
@@ -161,6 +176,59 @@ class TestCosets:
             assert m2.reads < 0.75 * maps * M.n, seed
 
 
+class TestOrbits:
+    """Later groups are composed from the automorphisms already found when
+    one of them carries a visited group's prefix onto the new one; the
+    6-regular tori T(a, b), with up to 6n maps, show it."""
+
+    CASES = [((a, a), 6) for a in range(3, 9)] + [((3, 4), 1), ((3, 5), 1), ((4, 6), 1)]
+
+    @pytest.mark.parametrize("size,maps_per_row", CASES, ids=[f"T{a}x{b}" for (a, b), _ in CASES])
+    def test_counts_and_order_onto_a_reindexed_copy(self, size, maps_per_row):
+        K = _grid_torus(*size)
+        K2 = reindexed_relabelled(K, sum(size))
+        M, M2 = intersection_matrix(K), intersection_matrix(K2)
+        n, m1, m2 = M.n, M.entries, M2.entries
+        raw = list(iter_bijections(M, M2))
+        assert len(raw) == maps_per_row * n
+        assert len(set(raw)) == len(raw)
+        for g in raw:
+            assert all([m2[g[i]][x] for x in g] == list(m1[i]) for i in range(n))
+        assert sorted_by_group(raw, _in_order(M._plan[0])) == found(M, M2)
+        if n <= 72:
+            extended = sum(isinstance(e, Extended) for e in _extensions(K, K2))
+            assert extended == len(simplicial_automorphisms(K))
+
+    @pytest.mark.parametrize("a", range(4, 9))
+    def test_full_enumeration_reads_few_target_rows(self, a):
+        # A kernel that searches for the first map of every group reads
+        # 106n to 412n target rows here; taking most groups from the
+        # automorphisms already found leaves about 13n to 18n.
+        M = intersection_matrix(_grid_torus(a, a))
+        m2 = CountedRows(reindexed(M, a).entries)
+        maps = sum(1 for _ in iter_bijections(M, IntersectionMatrix._trusted(m2)))
+        assert maps == 6 * M.n
+        assert m2.reads <= 30 * M.n
+
+    def test_limit_keeps_memory_within_the_output(self):
+        # The kernel keeps one automorphism per group it has visited, not
+        # the orbit of every group, so a short prefix stays cheap on
+        # T(16, 16) (n = 512, 3,072 maps); closing the orbit eagerly took
+        # 6.9 MB.
+        M = intersection_matrix(_grid_torus(16, 16))
+        M2 = reindexed(M, 16)
+        # The plan and the view are facts the matrices keep, not search state.
+        M._plan
+        M2._view
+        tracemalloc.start()
+        try:
+            assert len(found(M, M2, 50)) == 50
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
 def reindexed_surface_inputs():
     """Ten pairs of reindexed copies of each catalog closed surface."""
     for name in CLOSED_SURFACES:
@@ -182,15 +250,8 @@ class TestSearchOrder:
             assert len(set(raw)) == len(raw), trial
             got = found(M, M2)
             assert sorted(raw) == sorted(got), trial
-            order, _, _ = _plan(_near(M.entries))
-            k = next((p for p, r in enumerate(order) if p != r), M.n)
-            heads, by_group = [], []
-            for head, group in groupby(raw, key=lambda g: g[:k]):
-                heads.append(head)
-                by_group += sorted(group)
             # Groups are contiguous and ascending.
-            assert heads == sorted(set(heads)), trial
-            assert got == by_group, trial
+            assert got == sorted_by_group(raw, _in_order(M._plan[0])), trial
 
     @pytest.mark.parametrize("name", ["tp10", "tp12"])
     def test_exceptional_detection_stops_at_the_first_map(self, name):
