@@ -27,6 +27,7 @@ import sys
 
 import pytest
 
+from trimat import catalog
 from trimat.verification import CHECKS, TIME_BUDGETS, run_check
 
 
@@ -54,6 +55,54 @@ def test_criterion7_reports_a_bad_row(monkeypatch):
     passed, detail = verification._check_matrix_invariants(trials=1)
     assert passed is False
     assert detail.startswith("moebius5: row ")
+
+
+# (criterion, a global of trimat.verification, a stand-in that makes the
+# criterion fail, the start of the detail it must then report)
+FAILURES = [
+    (1, "euler_characteristic", lambda K: 99, "tetrahedron: n=4, chi=99"),
+    (2, "expected_classes", lambda n: set(), "n=3: classes"),
+    (3, "isomorphic", lambda K1, K2: False, "tetrahedron: no extendable bijection"),
+    (
+        4,
+        "simplicial_automorphisms",
+        lambda K: [],
+        "tetrahedron: extendable=24, simplicial automorphisms=0",
+    ),
+    (
+        5,
+        "corpus",
+        lambda: [("tp10", catalog.standard("tetrahedron"))],
+        "tp10: expected a non-extendable self-bijection",
+    ),
+    (6, "detect_exceptional", lambda M: None, "tp10: canonical matrix not detected"),
+    (
+        7,
+        "_extensions",
+        lambda K1, K2: iter(()),
+        "tetrahedron permuted (trial 0): reconstruction not isomorphic",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "criterion,name,stand_in,detail",
+    FAILURES,
+    ids=[f"criterion{num}-{name}" for num, name, _, _ in FAILURES],
+)
+def test_criterion_reports_its_failure(monkeypatch, criterion, name, stand_in, detail):
+    from trimat import verification
+
+    monkeypatch.setattr(verification, name, stand_in)
+    result = run_check(criterion)
+    assert result.passed is False
+    assert result.detail.startswith(detail), result.detail
+    assert " FAIL " in result.line()
+
+
+def test_unknown_criterion_raises():
+    with pytest.raises(ValueError, match="no criterion 8"):
+        run_check(8)
 
 
 def counted_validations(monkeypatch):

@@ -6,8 +6,11 @@ meant to keep every answer the same (a refactor, a faster search) must
 keep every digest; a change meant to alter an answer must say so and
 re-pin the digest it changes.  The groups cover the bijection search and
 its extensions, both modes of ``reconstruct``, exceptional detection, the
-growth search's placements, the cycle oracle, and verdicts and error
-texts on random matrices.  Two groups pin work rather than answers:
+growth search's placements, the cycle oracle, verdicts and error texts
+on random matrices, the vertex search of ``simplicial_automorphisms`` on
+catalog complexes, fans, subdivisions, grid tori and random pure
+2-complexes, and the ``verify-corpus`` report with its timings taken
+out.  Two groups pin work rather than answers:
 ``growth-nodes`` records how many candidates the growth search places
 before it runs out, and ``vertex-stars`` the cyclic order of every vertex
 star, which the bijection extension reads.  The inputs are seeded, and the copies carry
@@ -17,6 +20,7 @@ fresh indices and labels, so the order of every search is pinned too.
 import hashlib
 import io
 import random
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -40,11 +44,13 @@ from trimat import (
     standard,
     vertex_star,
 )
-from trimat.catalog import CLOSED_SURFACES
+from trimat.catalog import CLOSED_SURFACES, _grid_torus, catalog_names, disk_fan
 from trimat.cli import main
 from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
+from trimat.verification import simplicial_automorphisms
 
 from test_robustness import reindexed_relabelled, subdivide
+from test_verification import random_complex
 
 GOLDEN = {
     "maps": "e7857141c26f7f603699740e68e874d71c58638e",
@@ -57,6 +63,8 @@ GOLDEN = {
     "realizations": "1d44366377665937f3a2fb417dae6a08e8f17365",
     "random-reconstruct": "bf5036b2b1d6ff2ef481ebfdb44b325af68db116",
     "random-kernel": "0ad47443087bdc70d6caf161f1e766aab2eced55",
+    "automorphisms": "6bdf1a68b204457d90b082ba78fae938c7d92162",
+    "verify-corpus": "87c762445c31ea6ec2df392bcbce3a608f8d9329",
 }
 
 
@@ -190,6 +198,25 @@ def render_realizations(_tmp):
             yield f"n={n} {cls} {[t.vertices for t in realization.triangles]}"
 
 
+def render_automorphisms(_tmp):
+    complexes = [(name, standard(name)) for name in catalog_names()]
+    complexes += [(f"disk_fan({n})", disk_fan(n)) for n in range(3, 9)]
+    complexes += [(f"{name}/4", subdivide(standard(name))) for name in CLOSED_SURFACES]
+    complexes += [(f"T{a}x{b}", _grid_torus(a, b)) for a, b in ((3, 3), (3, 4), (4, 4), (4, 6), (6, 6))]
+    rng = random.Random(20261019)
+    complexes += [(f"random {i}", random_complex(rng, rng.randint(3, 6))) for i in range(40)]
+    for label, K in complexes:
+        yield f"{label} {simplicial_automorphisms(K)!r}"
+
+
+def render_verify_corpus(_tmp):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify-corpus"])
+    yield f"exit {code}"
+    yield re.sub(r" \(\d+\.\d\ds\)", "", out.getvalue())
+
+
 def symmetric(n, rng, draw):
     rows = [[2] * n for _ in range(n)]
     for i in range(n):
@@ -257,6 +284,8 @@ RENDER = {
     "realizations": render_realizations,
     "random-reconstruct": render_random_reconstruct,
     "random-kernel": render_random_kernel,
+    "automorphisms": render_automorphisms,
+    "verify-corpus": render_verify_corpus,
 }
 
 

@@ -2,7 +2,8 @@
 search must find exactly the vertex bijections that map the triangle set
 onto itself, in the order of their image sequences."""
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,6 +23,18 @@ def reference_automorphisms(K):
     return out
 
 
+def random_complex(rng, vertices):
+    """A pure 2-complex of distinct triangles drawn at random on exactly
+    ``vertices`` vertices; often with boundary, and often with triangles
+    or parts that meet at a vertex only, or not at all."""
+    triples = list(combinations([f"v{i}" for i in range(vertices)], 3))
+    while True:
+        count = rng.randint(1, min(len(triples), vertices + 2))
+        K = Triangulation(Triangle(t) for t in rng.sample(triples, count))
+        if len(K.vertices()) == vertices:
+            return K
+
+
 def tetrahedron_on(a, b, c, d):
     return [Triangle(t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
 
@@ -38,6 +51,8 @@ SMALL = {
     "disjoint tetrahedra": Triangulation(tetrahedron_on(*"abcd") + tetrahedron_on(*"efgh")),
     "pinched tetrahedra": Triangulation(tetrahedron_on(*"abcd") + tetrahedron_on(*"aefg")),
 }
+_rng = random.Random(20261019)
+SMALL.update((f"random {i}", random_complex(_rng, _rng.randint(4, 6))) for i in range(30))
 
 
 class TestSimplicialAutomorphisms:
