@@ -55,10 +55,11 @@ of M1 whose images of rows 0..k-1 are Q.  The kernel keeps a table,
 seen, from the Q of each group visited to one such automorphism, and a
 list, autos, of the automorphisms g0^-1 o h for the maps h it searched
 for, each with its inverse.  When the prefix of a later group is placed,
-it looks for an s in autos such that s or s^-1 carries a visited Q' onto
-Q.  If s does, s o seen[Q'] is an automorphism with prefix Q, and the
-group is g0 o s o seen[Q'] o Stab: it is yielded with no search, and Q
-joins seen.  Otherwise the group is searched.  At its first map h the
+it looks for an s in autos that carries a visited Q' onto Q, that is,
+whose inverse carries Q onto a key of seen: the lookup goes one way only.
+If s does, s o seen[Q'] is an automorphism with prefix Q, and the group
+is g0 o s o seen[Q'] o Stab: it is yielded with no search, and Q joins
+seen.  Otherwise the group is searched.  At its first map h the
 kernel yields h o Stab, records g0^-1 o h in seen and autos, frees the
 images at positions k-1..n-2 and resumes at position k-1, so the rest of
 that subtree is never searched.  A first group of one map composes too,
@@ -72,12 +73,15 @@ search failed; on the catalog's surfaces that did not pay.
 
 Nothing is composed ahead of the caller.  The table holds the groups
 visited so far, one automorphism each, so its memory stays within the
-output, and a lookup costs at most 2 len(autos) prefix images, one entry
-of autos per group searched.  So a caller that stops early (``limit``,
+output, and a lookup costs at most len(autos) prefix images, one entry
+of autos per group searched.  Looking up s(Q) as well, through s^-1,
+composes a few more groups but costs about as many prefix images as it
+saves.  So a caller that stops early (``limit``,
 ``isomorphic``, ``detect_exceptional``, extension) leaves every group
-after the last one it reads unvisited.  Stab is built at the first map
-of a later group and the table once that group is yielded, since callers
-that want one map usually stop inside the first group or at that map.
+after the last one it reads unvisited.  Stab and the table's identity
+entry are built at the first map of a later group, and the rest of the
+table once that group is yielded, since callers that want one map
+usually stop inside the first group or at that map.
 
 The growth search, ``_grow``, places one triangle per row of a matrix M
 along the plan.  Row 0 becomes the triangle (0, 1, 2).  Every later
@@ -192,9 +196,10 @@ def iter_bijections(
     used = [False] * n
     # first: the maps of the first group; done once that group is complete.
     # Built at the first map of a later group (k < n only): g0 and its
-    # inverse, Stab, seen (each visited group's prefix Q -> one automorphism
-    # of M1 with prefix Q) and autos (g0^-1 o h for each map h searched for,
-    # with its inverse); seen and autos only once that group is yielded.
+    # inverse, Stab, and seen (each visited group's prefix Q -> one
+    # automorphism of M1 with prefix Q) with its identity entry; autos
+    # (g0^-1 o h for each map h searched for, with the inverse the lookup
+    # reads) and the rest of seen only once that group is yielded.
     # Maps to compose through are lists: a list's __getitem__ is a fast
     # method, a tuple's a slow slot wrapper.
     first: list[tuple[int, ...]] = []
@@ -245,10 +250,9 @@ def iter_bijections(
                 for i, x in enumerate(g0):
                     inverse0[x] = i
                 stab = [tuple(map(inverse0.__getitem__, g)) for g in first]
+                seen[tuple(range(k))] = list(range(n))
             for a in stab:
                 yield tuple(map(image.__getitem__, a))
-            if not seen:
-                seen[tuple(range(k))] = list(range(n))
             alpha = list(map(inverse0.__getitem__, image))
             alpha_inv = [0] * n
             for i, x in enumerate(alpha):
@@ -261,16 +265,13 @@ def iter_bijections(
             continue
         if autos and depth + 1 == k:
             # A later group's prefix: composed, with no search, if a known
-            # automorphism s or its inverse carries a visited prefix onto it.
+            # automorphism s carries a visited prefix onto it, the one
+            # s^-1(q) looked up in seen (one way only).
             q = tuple(map(inverse0.__getitem__, image[:k]))
             for s, s_inv in autos:
                 beta = seen.get(tuple(map(s_inv.__getitem__, q)))
                 if beta is not None:
                     beta = list(map(s.__getitem__, beta))
-                    break
-                beta = seen.get(tuple(map(s.__getitem__, q)))
-                if beta is not None:
-                    beta = list(map(s_inv.__getitem__, beta))
                     break
             if beta is not None:
                 seen[q] = beta

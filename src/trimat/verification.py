@@ -12,8 +12,8 @@ bijections, not triangle bijections, and calls nothing in
 ``intersection``, ``_search`` or ``reconstruct``, so the extension-count
 check compares two routes that share no code.  Both searches propagate:
 the matrix route along the dual graph, the vertex route along the
-1-skeleton, where each placed vertex confines its neighbours' images to
-the neighbours of its image.
+1-skeleton, where each vertex's BFS parent confines its image to the
+neighbours of the parent's image.
 """
 
 from __future__ import annotations
@@ -88,10 +88,13 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
     (from the lowest vertex; each further component from its lowest
     vertex not yet reached).  A root tries every vertex of its degree; any
     other vertex may take only an unused vertex of its degree adjacent to
-    the images of all its earlier neighbours.  Once a vertex is placed,
-    each triangle it completes must land on a triangle; when all are
-    placed, the triangles map injectively, hence onto.  The search keeps
-    its own stack and never looks at intersection matrices.
+    the image of its BFS parent.  Once a vertex is placed, each triangle
+    it completes must land on a triangle, and nothing else is checked:
+    every triangle is checked when its last vertex is placed, so a
+    complete map sends the triangles injectively, hence onto, and each
+    edge, a side of some triangle, onto an edge.  No map is missed, since
+    an automorphism puts each vertex next to its parent's image.  The
+    search keeps its own stack and never looks at intersection matrices.
     """
     verts = K.vertices()
     n = len(verts)
@@ -106,6 +109,7 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
     triangle_sets = {frozenset(index[v] for v in t.vertices) for t in K.triangles}
 
     order: list[int] = []
+    parent = [-1] * n  # each vertex's BFS parent; -1 for a root
     position = [-1] * n
     for root in range(n):
         if position[root] >= 0:
@@ -117,16 +121,13 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
             for u in neighbours[order[head]]:
                 if position[u] < 0:
                     position[u] = len(order)
+                    parent[u] = order[head]
                     order.append(u)
             head += 1
-    # earlier[p]: the neighbours placed before the vertex at position p, its
-    # BFS parent first (none for a root); completes[p]: the other two
-    # vertices of each triangle that the vertex at position p completes.
-    earlier = []
+    # completes[p]: the other two vertices of each triangle that the vertex
+    # at position p completes.
     completes = []
     for p, v in enumerate(order):
-        before = [u for u in neighbours[v] if position[u] < p]
-        earlier.append(sorted(before, key=position.__getitem__))
         others = [
             tuple(index[u] for u in K.triangles[i].vertices if u != verts[v])
             for i in K.triangles_at(verts[v])
@@ -145,9 +146,7 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
         for w in pending[depth]:
             if used[w] or degree[w] != degree[v]:
                 continue
-            if all(w in adjacent[image[u]] for u in earlier[depth]) and all(
-                frozenset((w, image[a], image[b])) in triangle_sets for a, b in completes[depth]
-            ):
+            if all(frozenset((w, image[a], image[b])) in triangle_sets for a, b in completes[depth]):
                 break
         else:
             depth -= 1
@@ -160,8 +159,8 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
             continue
         used[w] = True
         depth += 1
-        first = earlier[depth]
-        pending[depth] = iter(neighbours[image[first[0]]] if first else range(n))
+        u = parent[order[depth]]
+        pending[depth] = iter(range(n) if u < 0 else neighbours[image[u]])
     found.sort()
     return [{verts[i]: verts[j] for i, j in enumerate(f)} for f in found]
 

@@ -203,7 +203,7 @@ class TestOrbits:
     def test_full_enumeration_reads_few_target_rows(self, a):
         # A kernel that searches for the first map of every group reads
         # 106n to 412n target rows here; taking most groups from the
-        # automorphisms already found leaves about 13n to 18n.
+        # automorphisms already found leaves about 14n to 23n.
         M = intersection_matrix(_grid_torus(a, a))
         m2 = CountedRows(reindexed(M, a).entries)
         maps = sum(1 for _ in iter_bijections(M, IntersectionMatrix._trusted(m2)))
