@@ -1,4 +1,4 @@
-"""The two searches over the entry-1 (dual) graph of an intersection matrix.
+"""The searches over the entry-1 (dual) graph of an intersection matrix.
 
 Entry M[v][w] says how many vertices triangles v and w share, less one.
 ``_near`` reads a matrix's rows and keeps, per row, the (column, entry)
@@ -8,11 +8,12 @@ starting at row 0 and then at the lowest row not yet reached, so every
 row but a root shares an edge with its BFS parent.  Both are facts of the
 matrix: ``IntersectionMatrix`` works each out on first use and keeps it
 (its ``_view`` and ``_plan``), so each matrix is read once however often
-it is searched, and both searches take matrices.  Both searches place
-rows in this order, check each against the placed rows that meet it and
-no others, and keep an explicit stack, so their depth is not bounded by
-the interpreter's recursion limit.  Both are generators: a caller that
-needs only some answers stops the search where it stops reading.
+it is searched, and the searches take matrices.  They place rows in
+this order, check each against the placed rows that meet it and no
+others, and keep an explicit stack, so their depth is not bounded by the
+interpreter's recursion limit.  The bijection kernel and the growth
+search are generators: a caller that needs only some answers stops the
+search where it stops reading.
 
 The bijection kernel, ``iter_bijections``, yields every index bijection g
 with M2[g[i]][g[j]] == M1[i][j] for every i, j, once each, and none when
@@ -21,6 +22,11 @@ only to a row of M2 whose view is as long as r's.  A root row tries every
 such image in ascending order.  Every other row's image must be an
 entry-1 neighbour of its parent's image; on a closed surface that leaves
 at most 3 candidates (Weinberg's propagation idea for triangulations).
+That loop, with its checks, is ``_walk``, which the kernel and the group
+search below both drive.  It stops at every complete map and at every
+placement at one position the caller chooses, and the caller may then
+give up the subtree below any placed position.  The per-matrix lists it
+reads are built once per walk, however many root images it tries.
 
 Precondition: M1 and M2 are non-empty and symmetric, with 2 on the
 diagonal and no negative entry other than -1 (``IntersectionMatrix``
@@ -83,6 +89,24 @@ entry are built at the first map of a later group, and the rest of the
 table once that group is yielded, since callers that want one map
 usually stop inside the first group or at that map.
 
+The group search, ``_automorphism_group``, describes Aut(M), the
+preserving self-maps of one matrix, by generators instead of a list
+(Sims' stabiliser-and-transversal idea, 1970, with the orbit pruning of
+McKay, 1981).  It walks M onto itself and stops at each root image.
+Root image 0 is searched in full, which gives Stab, the maps that fix
+row 0.  Any other root image j that already lies in the orbit of row 0
+under the maps found so far is skipped.  Otherwise only j's first map is
+searched for: it becomes a generator, and the orbit is closed again under
+Stab and the generators.  A root image that no map reaches is searched to
+exhaustion.  The order of Aut(M) is |Stab| times the size of the orbit.
+Stab and the generators generate Aut(M).  Let H be the group they
+generate.  A row that some automorphism sends row 0 to was either in the
+orbit when its turn came or was searched, and then it gave a generator;
+so row 0 has the same orbit under H as under Aut(M).  H also contains
+Stab, so |H| >= |Stab| * |orbit| = |Aut(M)|, and H lies in Aut(M).  On
+the 6-regular torus T(16, 16) that is 6 maps in Stab and 1 generator for
+a group of 3,072.
+
 The growth search, ``_grow``, places one triangle per row of a matrix M
 along the plan.  Row 0 becomes the triangle (0, 1, 2).  Every later
 triangle v shares an edge {a, b} with its BFS parent, so it is that edge
@@ -122,7 +146,7 @@ entry-1 graph is connected, for the cycle oracle in ``cycles`` and for
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Generator, Iterator
 
 from .errors import BudgetExceededError
 
@@ -180,35 +204,28 @@ def _in_order(order: list[int]) -> int:
     return next((p for p, r in enumerate(order) if p != r), len(order))
 
 
-def iter_bijections(
-    M1: IntersectionMatrix, M2: IntersectionMatrix
-) -> Iterator[tuple[int, ...]]:
+def _walk(
+    M1: IntersectionMatrix, M2: IntersectionMatrix, image: list[int], k: int
+) -> Generator[int, int | None, None]:
+    """The kernel's loop: place the rows of M1 along its plan onto rows of
+    M2 of the same size, writing each row's image into ``image``.
+
+    It stops at every complete map and at every placement at position
+    k - 1, and yields the position p just placed (n - 1 for a complete
+    map).  The reply decides how it goes on: None goes on as the search
+    would, down the tree, or to the next image after a complete map; a
+    position q <= p gives up the images placed at positions q..p and goes
+    on with position q's next image, so the rest of that subtree is never
+    searched.
+    """
     n = M1.n
-    if n != M2.n:
-        return
     order, parent, checks = M1._plan
-    k = _in_order(order)
     m2 = M2.entries
     neighbours2 = [[j for j, v in row if v == 1] for row in M2._view]
     size1 = list(map(len, M1._view))
     size2 = list(map(len, M2._view))
-    image = [0] * n
     used = [False] * n
-    # first: the maps of the first group; done once that group is complete.
-    # Built at the first map of a later group (k < n only): g0 and its
-    # inverse, Stab, and seen (each visited group's prefix Q -> one
-    # automorphism of M1 with prefix Q) with its identity entry; autos
-    # (g0^-1 o h for each map h searched for, with the inverse the lookup
-    # reads) and the rest of seen only once that group is yielded.
-    # Maps to compose through are lists: a list's __getitem__ is a fast
-    # method, a tuple's a slow slot wrapper.
-    first: list[tuple[int, ...]] = []
-    done = False
-    g0: list[int] = []
-    inverse0 = [0] * n
-    stab: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], list[int]] = {}
-    autos: list[tuple[list[int], list[int]]] = []
+    last, stop = n - 1, k - 1
     # pending[p]: the images the row at position p has not tried yet.
     # Resuming a for loop over this iterator continues the scan where it
     # stopped.
@@ -231,42 +248,62 @@ def iter_bijections(
             depth -= 1
             if depth >= 0:
                 used[image[order[depth]]] = False
-            if depth < k and first:
-                done = True
             continue
         image[r] = j
-        if depth + 1 == n:
-            # With k == n every group is one complete map: nothing to compose.
-            if not done or k == n:
-                h = tuple(image)
-                if not done:
-                    first.append(h)
-                yield h
+        if depth == last or depth == stop:
+            back = yield depth
+            if back is not None:
+                for p in range(back, depth):
+                    used[image[order[p]]] = False
+                depth = back
                 continue
-            # The first map h of a later group the search reached: yield
-            # h o Stab and skip the rest of the group's subtree.
-            if not stab:
-                g0 = list(first[0])
-                for i, x in enumerate(g0):
-                    inverse0[x] = i
-                stab = [tuple(map(inverse0.__getitem__, g)) for g in first]
-                seen[tuple(range(k))] = list(range(n))
-            for a in stab:
-                yield tuple(map(image.__getitem__, a))
-            alpha = list(map(inverse0.__getitem__, image))
-            alpha_inv = [0] * n
-            for i, x in enumerate(alpha):
-                alpha_inv[x] = i
-            seen[tuple(alpha[:k])] = alpha
-            autos.append((alpha, alpha_inv))
-            for p in range(k - 1, depth):
-                used[image[order[p]]] = False
-            depth = k - 1
-            continue
-        if autos and depth + 1 == k:
-            # A later group's prefix: composed, with no search, if a known
-            # automorphism s carries a visited prefix onto it, the one
-            # s^-1(q) looked up in seen (one way only).
+            if depth == last:
+                continue
+        used[j] = True
+        depth += 1
+        r = order[depth]
+        pending[depth] = iter(range(n) if parent[r] < 0 else neighbours2[image[parent[r]]])
+
+
+def iter_bijections(
+    M1: IntersectionMatrix, M2: IntersectionMatrix
+) -> Iterator[tuple[int, ...]]:
+    n = M1.n
+    if n != M2.n:
+        return
+    k = _in_order(M1._plan[0])
+    image = [0] * n
+    walk = _walk(M1, M2, image, k)
+    # first: the maps of the first group; done once a later group's prefix
+    # is placed.  Built at the first map of a later group (k < n only): g0
+    # and its inverse, Stab, and seen (each visited group's prefix Q -> one
+    # automorphism of M1 with prefix Q) with its identity entry; autos
+    # (g0^-1 o h for each map h searched for, with the inverse the lookup
+    # reads) and the rest of seen only once that group is yielded.
+    # Maps to compose through are lists: a list's __getitem__ is a fast
+    # method, a tuple's a slow slot wrapper.
+    first: list[tuple[int, ...]] = []
+    done = False
+    g0: list[int] = []
+    inverse0 = [0] * n
+    stab: list[tuple[int, ...]] = []
+    seen: dict[tuple[int, ...], list[int]] = {}
+    autos: list[tuple[list[int], list[int]]] = []
+    back = None
+    while True:
+        try:
+            depth = walk.send(back)
+        except StopIteration:
+            return
+        back = None
+        if depth < n - 1:
+            # A group's prefix is placed (position k - 1).  It is composed,
+            # with no search, if a known automorphism s carries a visited
+            # prefix onto it, the one s^-1(q) looked up in seen (one way
+            # only).
+            done = bool(first)
+            if not autos:
+                continue
             q = tuple(map(inverse0.__getitem__, image[:k]))
             for s, s_inv in autos:
                 beta = seen.get(tuple(map(s_inv.__getitem__, q)))
@@ -278,11 +315,74 @@ def iter_bijections(
                 h = list(map(g0.__getitem__, beta))
                 for a in stab:
                     yield tuple(map(h.__getitem__, a))
-                continue
-        used[j] = True
-        depth += 1
-        r = order[depth]
-        pending[depth] = iter(range(n) if parent[r] < 0 else neighbours2[image[parent[r]]])
+                back = k - 1
+            continue
+        # With k == n every group is one complete map: nothing to compose.
+        if not done or k == n:
+            h = tuple(image)
+            if k < n:
+                first.append(h)
+            yield h
+            continue
+        # The first map h of a later group the search reached: yield
+        # h o Stab and skip the rest of the group's subtree.
+        if not stab:
+            g0 = list(first[0])
+            for i, x in enumerate(g0):
+                inverse0[x] = i
+            stab = [tuple(map(inverse0.__getitem__, g)) for g in first]
+            seen[tuple(range(k))] = list(range(n))
+        for a in stab:
+            yield tuple(map(image.__getitem__, a))
+        alpha = list(map(inverse0.__getitem__, image))
+        alpha_inv = [0] * n
+        for i, x in enumerate(alpha):
+            alpha_inv[x] = i
+        seen[tuple(alpha[:k])] = alpha
+        autos.append((alpha, alpha_inv))
+        back = k - 1
+
+
+def _automorphism_group(
+    M: IntersectionMatrix,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
+    """Stab, the preserving self-maps of M that fix row 0, in full; one
+    generator for each orbit point of row 0 that had to be searched; and
+    the order of Aut(M), |Stab| times the size of row 0's orbit.  Stab and
+    the generators together generate Aut(M)."""
+    n = M.n
+    image = [0] * n
+    walk = _walk(M, M, image, 1)
+    stab: list[tuple[int, ...]] = []
+    generators: list[tuple[int, ...]] = []
+    orbit = [0]
+    in_orbit = [False] * n
+    in_orbit[0] = True
+    back = None
+    while True:
+        try:
+            depth = walk.send(back)
+        except StopIteration:
+            return stab, generators, len(stab) * len(orbit)
+        back = None
+        root = image[0]
+        if root == 0:
+            if depth == n - 1:
+                stab.append(tuple(image))
+        elif in_orbit[root]:
+            back = 0  # a root image some known map already reaches
+        elif depth == n - 1:
+            generators.append(tuple(image))
+            # Close the orbit under every map found; the list grows as it
+            # is read.
+            maps = stab + generators
+            for x in orbit:
+                for g in maps:
+                    y = g[x]
+                    if not in_orbit[y]:
+                        in_orbit[y] = True
+                        orbit.append(y)
+            back = 0
 
 
 def _grow(

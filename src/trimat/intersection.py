@@ -20,10 +20,12 @@ so preserves every entry: the extension certifies preservation, and only a
 map that does not extend is checked, by ``is_intersection_preserving``:
 K's matrix renumbered through the map (``permuted``) must equal K2's.
 ``isomorphic`` decides whether two surfaces are simplicially isomorphic
-by walking the preserving bijections lazily until one extends.  The
-extension counts of the corpus checks (``verification``) share that walk,
-``_extensions``, and read it to the end; it leaves validation to its
-callers, which validate each complex once, not once per map.
+by walking the preserving bijections lazily until one extends.  That
+walk, ``_extensions``, leaves validation to its callers, which validate
+each complex once, not once per map.  The corpus checks
+(``verification``) read it too: criterion 7 until a map extends, and the
+extension counts to the end, but only on a surface where a generator of
+its group of self-maps does not extend.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -80,7 +82,7 @@ class IntersectionMatrix:
     skip that check: ``intersection_matrix`` and ``permuted`` build them
     through ``_trusted``.
 
-    Besides its entries a matrix keeps two facts that both searches in
+    Besides its entries a matrix keeps two facts that the searches in
     ``_search`` read, each worked out on first use: ``_view``, the sparse
     rows of ``_search._near``, and ``_plan``, the placement plan of
     ``_search._plan``.  So a matrix that is searched many times is read

@@ -13,7 +13,9 @@ bijections, not triangle bijections, and calls nothing in
 check compares two routes that share no code.  Both searches propagate:
 the matrix route along the dual graph, the vertex route along the
 1-skeleton, where each vertex's BFS parent confines its image to the
-neighbours of the parent's image.
+neighbours of the parent's image.  Both take their groups by cosets of a
+stabiliser instead of searching every map (Sims, 1970): the matrix route
+through ``_search._automorphism_group``, the vertex route by itself.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from .cycles import (
     enumerate_realizations,
     expected_classes,
 )
+from ._search import _automorphism_group
 from .errors import PatternError, TrichotomyError
 from .intersection import (
     Extended,
     TriangleBijection,
+    _extend,
     _extensions,
     intersection_matrix,
     isomorphic,
@@ -93,8 +97,15 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
     every triangle is checked when its last vertex is placed, so a
     complete map sends the triangles injectively, hence onto, and each
     edge, a side of some triangle, onto an edge.  No map is missed, since
-    an automorphism puts each vertex next to its parent's image.  The
-    search keeps its own stack and never looks at intersection matrices.
+    an automorphism puts each vertex next to its parent's image.
+
+    Only the maps that fix vertex 0, the first root, are searched in full:
+    they form Stab(v0), and root image 0 is tried first.  For any other
+    root image w the search stops at the first map h, since the maps that
+    send vertex 0 to w are exactly h o Stab(v0) (if g does, h^-1 o g fixes
+    vertex 0).  A root image that no map reaches is searched to exhaustion.
+    The search keeps its own stack and never looks at intersection
+    matrices.
     """
     verts = K.vertices()
     n = len(verts)
@@ -134,6 +145,8 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
         ]
         completes.append([(a, b) for a, b in others if position[a] < p and position[b] < p])
 
+    # stab: the maps that fix vertex 0, the root placed first.
+    stab: list[tuple[int, ...]] = []
     found: list[tuple[int, ...]] = []
     image = [0] * n
     used = [False] * n
@@ -155,12 +168,21 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
             continue
         image[v] = w
         if depth + 1 == n:
-            found.append(tuple(image))
+            if image[0] == 0:
+                stab.append(tuple(image))
+                continue
+            # The first map h that sends vertex 0 to w: the maps that do
+            # are h o Stab.  Skip the rest of the subtree.
+            found += [tuple(map(image.__getitem__, s)) for s in stab]
+            for p in range(depth):
+                used[image[order[p]]] = False
+            depth = 0
             continue
         used[w] = True
         depth += 1
         u = parent[order[depth]]
         pending[depth] = iter(range(n) if u < 0 else neighbours[image[u]])
+    found += stab
     found.sort()
     return [{verts[i]: verts[j] for i, j in enumerate(f)} for f in found]
 
@@ -251,9 +273,21 @@ def _check_round_trip() -> tuple[bool, str]:
 
 
 def _count_extendable(K: Triangulation) -> tuple[int, int]:
-    """(preserving self-bijections, those that extend), over the same walk
-    ``isomorphic`` takes; K is validated once."""
+    """(preserving self-bijections, those that extend); K is validated
+    once.
+
+    The extendable maps form a subgroup of Aut(M), M the matrix of K: if
+    f and g are induced by vertex bijections, f o g and f^-1 are induced
+    by their composite and inverse.  So if every map of Stab and every
+    generator of ``_search._automorphism_group`` extends, all of Aut(M)
+    does, and both counts are its order.  Otherwise the answer comes from
+    the walk ``isomorphic`` takes, ``_extensions``, read to the end; by
+    the paper's theorem that happens only on tp10 and tp12.
+    """
     _require_closed_surface(K, "the complex")
+    stab, generators, order = _automorphism_group(intersection_matrix(K))
+    if all(isinstance(_extend(K, K, g), Extended) for g in stab + generators):
+        return order, order
     results = list(_extensions(K, K))
     return len(results), sum(isinstance(r, Extended) for r in results)
 

@@ -176,14 +176,17 @@ class TestCosets:
             assert m2.reads < 0.75 * maps * M.n, seed
 
 
+#: (a, b), then the preserving self-maps of the 6-regular torus T(a, b) per
+#: triangle.
+TORI = [((a, a), 6) for a in range(3, 9)] + [((3, 4), 1), ((3, 5), 1), ((4, 6), 1)]
+
+
 class TestOrbits:
     """Later groups are composed from the automorphisms already found when
     one of them carries a visited group's prefix onto the new one; the
     6-regular tori T(a, b), with up to 6n maps, show it."""
 
-    CASES = [((a, a), 6) for a in range(3, 9)] + [((3, 4), 1), ((3, 5), 1), ((4, 6), 1)]
-
-    @pytest.mark.parametrize("size,maps_per_row", CASES, ids=[f"T{a}x{b}" for (a, b), _ in CASES])
+    @pytest.mark.parametrize("size,maps_per_row", TORI, ids=[f"T{a}x{b}" for (a, b), _ in TORI])
     def test_counts_and_order_onto_a_reindexed_copy(self, size, maps_per_row):
         K = _grid_torus(*size)
         K2 = reindexed_relabelled(K, sum(size))
