@@ -52,7 +52,8 @@ map h of it by composition (the stabiliser-and-coset idea of Sims,
 fixes rows 0..k-1; conversely g o a preserves for every such a.  So every
 group is h o Stab for any map h in it, where Stab = {g0^-1 o g : g in the
 first group} and g0 is the first map found, and this holds for any pair
-of valid matrices.
+of valid matrices.  Maps are tuples of images, composed as
+``IntersectionMatrix.permuted`` composes: g o a is itemgetter(*a)(g).
 
 Most later groups need no search for h either (the orbit idea of McKay,
 1981).  A group whose maps send rows 0..k-1 to P has the prefix Q =
@@ -70,7 +71,8 @@ kernel yields h o Stab, records g0^-1 o h in seen and autos, frees the
 images at positions k-1..n-2 and resumes at position k-1, so the rest of
 that subtree is never searched.  A first group of one map composes too,
 with Stab = {identity}, unless k == n: then a group is one complete map,
-and nothing is looked up, composed or recorded.
+the walk never stops at a prefix, and nothing is built, looked up,
+composed or recorded.
 
 A group with no map is still searched to exhaustion.  The lookup never
 finds it, since an s that carried a visited prefix onto it would give it
@@ -85,9 +87,9 @@ composes a few more groups but costs about as many prefix images as it
 saves.  So a caller that stops early (``limit``,
 ``isomorphic``, ``detect_exceptional``, extension) leaves every group
 after the last one it reads unvisited.  Stab and the table's identity
-entry are built at the first map of a later group, and the rest of the
-table once that group is yielded, since callers that want one map
-usually stop inside the first group or at that map.
+entry are built when the first group ends, at the next group's prefix,
+and the rest of the table as later groups are yielded, since callers
+that want one map usually stop inside the first group.
 
 The group search, ``_automorphism_group``, describes Aut(M), the
 preserving self-maps of one matrix, by generators instead of a list
@@ -146,6 +148,7 @@ entry-1 graph is connected, for the cycle oracle in ``cycles`` and for
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Generator, Iterator
 
 from .errors import BudgetExceededError
@@ -274,21 +277,20 @@ def iter_bijections(
     k = _in_order(M1._plan[0])
     image = [0] * n
     walk = _walk(M1, M2, image, k)
-    # first: the maps of the first group; done once a later group's prefix
-    # is placed.  Built at the first map of a later group (k < n only): g0
-    # and its inverse, Stab, and seen (each visited group's prefix Q -> one
-    # automorphism of M1 with prefix Q) with its identity entry; autos
-    # (g0^-1 o h for each map h searched for, with the inverse the lookup
-    # reads) and the rest of seen only once that group is yielded.
-    # Maps to compose through are lists: a list's __getitem__ is a fast
-    # method, a tuple's a slow slot wrapper.
+    # Maps are tuples, composed as itemgetter(*a)(g) == g o a: a composed
+    # map has k < n, so n >= 2 entries, and the getter returns a tuple.
+    # first: the maps of the first group (k < n only).  Built when it ends,
+    # at the next group's prefix: g0 and its inverse, Stab, and seen (each
+    # visited group's prefix Q -> one automorphism of M1 with prefix Q)
+    # with its identity entry.  autos (g0^-1 o h for each map h searched
+    # for, with the inverse the lookup reads) and the rest of seen grow as
+    # later groups are yielded.
     first: list[tuple[int, ...]] = []
-    done = False
-    g0: list[int] = []
-    inverse0 = [0] * n
+    g0: tuple[int, ...] = ()
+    inverse0: tuple[int, ...] = ()
     stab: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], list[int]] = {}
-    autos: list[tuple[list[int], list[int]]] = []
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    autos: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     back = None
     while True:
         try:
@@ -297,50 +299,53 @@ def iter_bijections(
             return
         back = None
         if depth < n - 1:
-            # A group's prefix is placed (position k - 1).  It is composed,
-            # with no search, if a known automorphism s carries a visited
-            # prefix onto it, the one s^-1(q) looked up in seen (one way
-            # only).
-            done = bool(first)
+            # A group's prefix is placed (position k - 1).  If the first
+            # group has given its maps, it has ended.
+            if first and not stab:
+                g0 = first[0]
+                inverse0 = _inverse(g0)
+                stab = [itemgetter(*g)(inverse0) for g in first]
+                seen[tuple(range(k))] = tuple(range(n))
+            # The group is composed, with no search, if a known
+            # automorphism s carries a visited prefix onto it, the one
+            # s^-1(q) looked up in seen (one way only).
             if not autos:
                 continue
             q = tuple(map(inverse0.__getitem__, image[:k]))
             for s, s_inv in autos:
                 beta = seen.get(tuple(map(s_inv.__getitem__, q)))
                 if beta is not None:
-                    beta = list(map(s.__getitem__, beta))
+                    beta = itemgetter(*beta)(s)
                     break
             if beta is not None:
                 seen[q] = beta
-                h = list(map(g0.__getitem__, beta))
+                h = itemgetter(*beta)(g0)
                 for a in stab:
-                    yield tuple(map(h.__getitem__, a))
+                    yield itemgetter(*a)(h)
                 back = k - 1
             continue
-        # With k == n every group is one complete map: nothing to compose.
-        if not done or k == n:
-            h = tuple(image)
+        h = tuple(image)
+        if not stab:
             if k < n:
                 first.append(h)
             yield h
             continue
         # The first map h of a later group the search reached: yield
         # h o Stab and skip the rest of the group's subtree.
-        if not stab:
-            g0 = list(first[0])
-            for i, x in enumerate(g0):
-                inverse0[x] = i
-            stab = [tuple(map(inverse0.__getitem__, g)) for g in first]
-            seen[tuple(range(k))] = list(range(n))
         for a in stab:
-            yield tuple(map(image.__getitem__, a))
-        alpha = list(map(inverse0.__getitem__, image))
-        alpha_inv = [0] * n
-        for i, x in enumerate(alpha):
-            alpha_inv[x] = i
-        seen[tuple(alpha[:k])] = alpha
-        autos.append((alpha, alpha_inv))
+            yield itemgetter(*a)(h)
+        alpha = itemgetter(*h)(inverse0)
+        seen[alpha[:k]] = alpha
+        autos.append((alpha, _inverse(alpha)))
         back = k - 1
+
+
+def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of the permutation g of 0..len(g)-1."""
+    inverse = [0] * len(g)
+    for i, x in enumerate(g):
+        inverse[x] = i
+    return tuple(inverse)
 
 
 def _automorphism_group(

@@ -384,18 +384,19 @@ def _extend(K: Triangulation, K2: Triangulation, image: tuple[int, ...]) -> Exte
     the stars of the three images of t's vertices, so f(t) = φ(t), and as
     f is onto, so is φ.  That is the certificate ``extend_to_simplicial``
     trusts.  The index from the stars of K2 to its vertices is built on
-    the first call for K2 and kept on it.
+    the first call for K2 and kept on it.  Each star is mapped through
+    ``itemgetter``, as ``permuted`` renumbers rows.
     """
     vertex_of = K2._vertex_of_star
     if vertex_of is None:
         vertex_of = K2._vertex_of_star = {
             frozenset(K2.triangles_at(y)): y for y in K2.vertices()
         }
-    # A list's __getitem__ is a fast method, a tuple's a slow slot wrapper.
-    f = list(image).__getitem__
     vertex_map: dict[str, str] = {}
     for x in K.vertices():
-        y = vertex_of.get(frozenset(map(f, K.triangles_at(x))))
+        # A star on a closed surface holds at least 3 triangles, so the
+        # getter returns a tuple.
+        y = vertex_of.get(frozenset(itemgetter(*K.triangles_at(x))(image)))
         if y is None:
             return NonExtendable(witness_vertex=x)
         vertex_map[x] = y

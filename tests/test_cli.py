@@ -27,6 +27,7 @@ from trimat import (
 )
 from trimat import cli
 from trimat.cli import main
+from trimat.errors import TrichotomyError
 from trimat.reconstruct import DEFAULT_NODE_CAP
 
 from test_robustness import reindexed_relabelled
@@ -292,6 +293,15 @@ class TestClassifyLink:
         k = write(tmp_path, "k.tri", serialize_triangulation(tp10))
         code, _, err = run(capsys, "classify-link", k, "--vertex", "nope")
         assert code == 2
+
+    def test_unclassifiable_star_exits_one(self, capsys, tmp_path, tp10, monkeypatch):
+        def refuse(triangles):
+            raise TrichotomyError("no class fits")
+
+        monkeypatch.setattr(cli, "classify_realization", refuse)
+        k = write(tmp_path, "k.tri", serialize_triangulation(tp10))
+        code, out, _ = run(capsys, "classify-link", k, "--vertex", "x")
+        assert (code, out) == (1, "unclassifiable: no class fits\n")
 
 
 class TestVerifyLemma:

@@ -200,6 +200,13 @@ class TestParsing:
         with pytest.raises(ValueError, match="duplicate triangle"):
             Triangulation([t, Triangle(("c", "b", "a"))])
 
+    def test_equality_hash_and_repr(self):
+        K = parse_triangulation(TETRA_TEXT)
+        twin = parse_triangulation(TETRA_TEXT)
+        assert K == twin and hash(K) == hash(twin)
+        assert K != K.triangles and K.__eq__(K.triangles) is NotImplemented
+        assert repr(K) == "Triangulation(4 triangles, 4 vertices)"
+
     def test_serialize_round_trip_tetra(self):
         K = parse_triangulation(TETRA_TEXT)
         assert parse_triangulation(serialize_triangulation(K)) == K

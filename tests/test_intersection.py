@@ -314,6 +314,9 @@ class TestCompositionAlgebra:
         assert f.forward == (1, 0)
         assert f == TriangleBijection((1, 0)) and hash(f) == hash(TriangleBijection((1, 0)))
 
+    def test_iterates_over_its_images(self):
+        assert list(TriangleBijection((2, 0, 1))) == [2, 0, 1]
+
 
 class TestExtension:
     def test_identity_on_tp10_extends_to_identity(self, tp10):
