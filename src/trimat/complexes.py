@@ -16,10 +16,17 @@ Surface validation and vertex stars share one walk around each vertex
 link; the order of that walk is the vertex star.
 
 Since a triangulation never changes, the facts derived from it are worked
-out once per complex, on first use, and kept on the instance: the
-``SurfaceReport`` of ``validate_closed_surface``, the intersection matrix
+out once per complex, on first use, and kept on the instance: the edge
+index (from each edge to the triangles on it), the ``SurfaceReport`` of
+``validate_closed_surface``, the intersection matrix
 (``intersection.intersection_matrix``) and the index from vertex stars to
 vertices that ``intersection.extend_to_simplicial`` reads.
+
+Validation walks the links before it looks at edges.  When every link is
+one cycle, each edge {v, u} lies in exactly the two triangles of v's star
+that hold u, so the complex is closed; the edge index is built only when
+some link fails, or when ``edges``, ``triangles_on``, ``boundary_edges``,
+``euler_characteristic`` or ``orientability`` asks for it.
 """
 
 from __future__ import annotations
@@ -72,11 +79,19 @@ class Triangle:
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, str, str]) -> "Triangle":
-        """A triangle from three distinct valid labels, already sorted,
-        that the library made itself; the labels are not re-checked."""
+        """A triangle from three distinct valid labels, already sorted; the
+        labels are not re-checked.  Its callers are ``parse_triangulation``,
+        whose tokens come from splitting a line at whitespace after cutting
+        it at ``#`` (so none is empty or holds either), and
+        ``reconstruct._build``, which makes its own labels."""
         t = object.__new__(cls)
-        object.__setattr__(t, "vertices", vertices)
-        object.__setattr__(t, "_vset", frozenset(vertices))
+        # A frozen dataclass refuses setattr.  Writing t.__dict__ instead
+        # would be cheaper here, but it gives the instance a full dict,
+        # which on CPython 3.11 makes every later attribute read several
+        # times slower.
+        set_ = object.__setattr__
+        set_(t, "vertices", vertices)
+        set_(t, "_vset", frozenset(vertices))
         return t
 
     @property
@@ -120,19 +135,16 @@ class Triangulation:
                 raise ValueError(f"duplicate triangle: {t}")
             seen.add(t.vertex_set)
         self.triangles: tuple[Triangle, ...] = tris
-        edge_map: dict[frozenset[str], list[int]] = {}
         vertex_map: dict[str, list[int]] = {}
         for i, t in enumerate(tris):
-            for e in t.edges():
-                edge_map.setdefault(e, []).append(i)
             for v in t.vertices:
                 vertex_map.setdefault(v, []).append(i)
-        self._edge_map = {e: tuple(ix) for e, ix in edge_map.items()}
         self._vertex_map = {v: tuple(ix) for v, ix in vertex_map.items()}
         self._vertices = tuple(sorted(vertex_map))
         # Derived facts, each set on first use by the function that works
-        # it out: validate_closed_surface, intersection.intersection_matrix
-        # and intersection._extend.
+        # it out: _edge_index, validate_closed_surface,
+        # intersection.intersection_matrix and intersection._extend.
+        self._edge_map: dict[frozenset[str], tuple[int, ...]] | None = None
         self._report: SurfaceReport | None = None
         self._matrix: IntersectionMatrix | None = None
         self._vertex_of_star: dict[frozenset[int], str] | None = None
@@ -158,8 +170,19 @@ class Triangulation:
         """The vertex labels, sorted."""
         return self._vertices
 
+    def _edge_index(self) -> dict[frozenset[str], tuple[int, ...]]:
+        """Each edge, in order of first appearance by triangle index, with
+        the indices of the triangles on it."""
+        if self._edge_map is None:
+            edge_map: dict[frozenset[str], list[int]] = {}
+            for i, t in enumerate(self.triangles):
+                for e in t.edges():
+                    edge_map.setdefault(e, []).append(i)
+            self._edge_map = {e: tuple(ix) for e, ix in edge_map.items()}
+        return self._edge_map
+
     def edges(self) -> tuple[frozenset[str], ...]:
-        return tuple(self._edge_map)
+        return tuple(self._edge_index())
 
     def triangles_at(self, v: str) -> tuple[int, ...]:
         """Indices of the triangles containing vertex ``v``."""
@@ -169,7 +192,7 @@ class Triangulation:
             raise SurfaceError(f"vertex {v!r} does not occur in the complex") from None
 
     def triangles_on(self, edge: frozenset[str]) -> tuple[int, ...]:
-        return self._edge_map.get(edge, ())
+        return self._edge_index().get(edge, ())
 
     def degree(self, v: str) -> int:
         return len(self.triangles_at(v))
@@ -200,7 +223,7 @@ class SurfaceReport:
 def parse_triangulation(text: str) -> Triangulation:
     """Parse ``.tri`` text into a Triangulation, preserving file order."""
     triangles: list[Triangle] = []
-    seen: dict[frozenset[str], int] = {}
+    seen: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,15 +233,14 @@ def parse_triangulation(text: str) -> Triangulation:
             raise ParseError(f"expected 3 vertex labels, got {len(tokens)}", lineno)
         if len(set(tokens)) != 3:
             raise ParseError(f"repeated vertex within a triangle: {line!r}", lineno)
-        key = frozenset(tokens)
+        key = tuple(sorted(tokens))
         if key in seen:
             raise ParseError(
-                f"duplicate triangle {' '.join(sorted(tokens))!r}"
-                f" (first seen on line {seen[key]})",
+                f"duplicate triangle {' '.join(key)!r} (first seen on line {seen[key]})",
                 lineno,
             )
         seen[key] = lineno
-        triangles.append(Triangle(tokens))
+        triangles.append(Triangle._trusted(key))
     if not triangles:
         raise ParseError("no triangles found in input")
     return Triangulation(triangles)
@@ -350,10 +372,13 @@ def validate_closed_surface(K: Triangulation) -> SurfaceReport:
     report.
     """
     if K._report is None:
+        links_ok = all(_link_cycle(K, v) is not None for v in K.vertices())
         K._report = SurfaceReport(
             connected=_is_connected(K),
-            closed=all(len(ix) == 2 for ix in K._edge_map.values()),
-            links_ok=all(_link_cycle(K, v) is not None for v in K.vertices()),
+            # Every link one cycle puts every edge in two triangles (see the
+            # module docstring); only a failed link walk needs the index.
+            closed=links_ok or all(len(ix) == 2 for ix in K._edge_index().values()),
+            links_ok=links_ok,
         )
     return K._report
 
@@ -387,9 +412,8 @@ def orientability(K: Triangulation) -> bool:
 
 def boundary_edges(K: Triangulation) -> tuple[frozenset[str], ...]:
     """Edges lying in exactly one triangle, in deterministic order."""
-    return tuple(
-        e for e in sorted(K._edge_map, key=sorted) if len(K._edge_map[e]) == 1
-    )
+    index = K._edge_index()
+    return tuple(e for e in sorted(index, key=sorted) if len(index[e]) == 1)
 
 
 def vertex_star(K: Triangulation, v: str) -> tuple[int, ...]:

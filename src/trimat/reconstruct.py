@@ -108,7 +108,7 @@ def _build(tri: tuple[tuple[int, int, int], ...], M: IntersectionMatrix) -> Tria
         for x in t:
             if x not in label:
                 label[x] = f"v{len(label)}"
-        triangles.append(Triangle._trusted(tuple(sorted(label[x] for x in t))))
+        triangles.append(Triangle._trusted(tuple(sorted(map(label.__getitem__, t)))))
     K = Triangulation(triangles)
     if not validate_closed_surface(K).is_closed_surface:
         return None

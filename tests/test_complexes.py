@@ -49,6 +49,11 @@ def _roots(groups):
     return {find(x) for x in parent}
 
 
+def _edge_counts(triangle_sets):
+    """How many of the triangles lie on each edge, by first appearance."""
+    return Counter(frozenset(e) for t in triangle_sets for e in combinations(sorted(t), 2))
+
+
 def _link_is_cycle(triangle_sets, v):
     """Whether the link graph of v is connected and 2-regular."""
     link = [tuple(t - {v}) for t in triangle_sets if v in t]
@@ -217,6 +222,16 @@ class TestParsing:
         K = Triangulation(Triangle(tuple(s)) for s in triangle_sets)
         assert parse_triangulation(serialize_triangulation(K)) == K
 
+    @settings(max_examples=60, deadline=None)
+    @given(ANY_LABEL_TRIANGLE_SETS)
+    def test_parsed_triangles_equal_constructed_ones(self, triangle_sets):
+        # The parser makes its triangles without Triangle's label checks.
+        K = Triangulation(Triangle(tuple(s)) for s in triangle_sets)
+        for t in parse_triangulation(serialize_triangulation(K)).triangles:
+            assert t == Triangle(t.vertices)
+            # The vertex set is not part of equality.
+            assert t.vertex_set == frozenset(t.vertices)
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(near_surfaces(), RANDOM_TRIANGLE_SETS))
     def test_links_and_connectivity_match_definitions(self, triangle_sets):
@@ -225,6 +240,7 @@ class TestParsing:
         cyclic = {v: _link_is_cycle(triangle_sets, v) for v in K.vertices()}
         assert report.links_ok == all(cyclic.values())
         assert report.connected == (len(_roots(triangle_sets)) == 1)
+        assert report.closed == all(n == 2 for n in _edge_counts(triangle_sets).values())
         for v, is_cycle in cyclic.items():
             if not is_cycle:
                 with pytest.raises(SurfaceError):
@@ -322,24 +338,56 @@ class TestEulerAndOrientability:
     def test_worked_out_only_when_asked(self, corpus, monkeypatch):
         # Validation answers only whether K is a closed surface, so neither
         # reconstruct (which validates every complex it builds) nor a fresh
-        # validation works out an orientation or chi.
-        calls = []
+        # validation works out an orientation or chi.  Nor does either build
+        # the edge index for a closed surface, whose link walk settles
+        # closedness; reconstruct builds it only for a placement that fails
+        # the walk.  The orientation walk builds it and keeps it.
+        calls, indexed = [], []
         orient, chi = complexes._oriented_consistently, complexes.euler_characteristic
+        index = Triangulation._edge_index
         monkeypatch.setattr(
             complexes, "_oriented_consistently", lambda K: (calls.append("o"), orient(K))[1]
         )
         monkeypatch.setattr(
             complexes, "euler_characteristic", lambda K: (calls.append("chi"), chi(K))[1]
         )
+        monkeypatch.setattr(
+            Triangulation, "_edge_index", lambda K: (indexed.append(K), index(K))[1]
+        )
         for name, K in corpus:
-            reconstruct(intersection_matrix(K))
+            result = reconstruct(intersection_matrix(K))
             assert calls == [], name
+            assert all(not validate_closed_surface(L).links_ok for L in indexed), name
+            assert result.complex._edge_map is None, name
+            indexed.clear()
             fresh = parse_triangulation(serialize_triangulation(K))
             assert validate_closed_surface(fresh).is_closed_surface, name
-            assert calls == [], name
+            assert calls == [] and indexed == [], name
             orientability(fresh)
             assert calls == ["o"], name
+            assert indexed and all(L is fresh for L in indexed), name
+            assert fresh._edge_map is not None, name
             calls.clear()
+            indexed.clear()
+
+    @settings(max_examples=80, deadline=None)
+    @given(RANDOM_TRIANGLE_SETS)
+    def test_edge_index_built_on_first_use(self, triangle_sets):
+        # Each accessor builds the index on a fresh complex; all three
+        # agree with a count over the triangle sets.
+        counts = _edge_counts(triangle_sets)
+        fresh = [Triangulation(Triangle(tuple(s)) for s in triangle_sets) for _ in range(3)]
+        assert all(K._edge_map is None for K in fresh)
+        K1, K2, K3 = fresh
+        assert K1.edges() == tuple(counts)
+        assert {e: K2.triangles_on(e) for e in counts} == {
+            e: tuple(i for i, t in enumerate(triangle_sets) if e <= t) for e in counts
+        }
+        assert K2.triangles_on(frozenset("yz")) == ()
+        assert boundary_edges(K3) == tuple(
+            sorted((e for e, n in counts.items() if n == 1), key=sorted)
+        )
+        assert all(K._edge_map is not None for K in fresh)
 
 
 class TestVertexStar:

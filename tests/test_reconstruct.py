@@ -22,7 +22,7 @@ from trimat import (
     standard,
     validate_closed_surface,
 )
-from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
+from trimat.reconstruct import DEFAULT_NODE_CAP, _build, _grow
 
 from test_kernels import random_matrix
 from test_robustness import reindexed
@@ -154,6 +154,18 @@ class TestReconstruct:
                 tuple(intersection_dim(s, t) for t in L.triangles) for s in L.triangles
             )
             assert own.entries == dense == M.entries, name
+
+    def test_placement_is_kept_only_for_its_own_matrix(self, octahedron):
+        # A placement is a closed surface either way; only the comparison
+        # of its own matrix with M tells the two apart.
+        M = intersection_matrix(octahedron)
+        other = reindexed(M, seed=1)
+        assert other.entries != M.entries
+        placement = next(_grow(M, DEFAULT_NODE_CAP))
+        assert _build(placement, other) is None
+        K = _build(placement, M)
+        assert validate_closed_surface(K).is_closed_surface
+        assert intersection_matrix(K) == M
 
     def test_permutation_invariance(self, corpus):
         rng = random.Random(404)
