@@ -1,10 +1,14 @@
 """Abstract simplicial 2-complexes given as indexed triangle lists.
 
 A triangulation here is nothing more than an ordered sequence of distinct
-triangles, each a set of three vertex labels.  Labels are opaque text
-tokens; the index order of the triangles is part of the identity of the
-complex (it fixes matrix row order downstream).  Everything is immutable
-after construction and all operations are pure functions.
+triangles, each three vertex labels.  A triangle holds only its labels,
+sorted into a tuple; its vertex set is made from that tuple when it is
+read.  Labels are opaque text tokens; the index order of the triangles is
+part of the identity of the complex (it fixes matrix row order
+downstream).  Everything is immutable after construction and all
+operations are pure functions.  The constructor makes one pass over the
+triangles: it checks each one's type, rejects a repeated label tuple, and
+indexes the vertices.
 
 The ``.tri`` text format: one triangle per line as three whitespace
 separated labels, ``#`` starts a comment, blank lines are ignored, and the
@@ -66,7 +70,12 @@ def _check_label(label: str) -> str:
 
 @dataclass(frozen=True, order=True)
 class Triangle:
-    """A 2-simplex: exactly three distinct vertex labels, stored sorted."""
+    """A 2-simplex: exactly three distinct vertex labels.
+
+    A triangle holds one thing, its labels sorted into the tuple
+    ``vertices``; repr, equality, hash and ordering all come from it.  The
+    vertex set is made from that tuple each time ``vertex_set`` is read.
+    """
 
     vertices: tuple[str, str, str]
 
@@ -75,28 +84,26 @@ class Triangle:
         if len(vs) != 3 or len(set(vs)) != 3:
             raise ValueError(f"a triangle needs exactly 3 distinct vertices, got {vs!r}")
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "_vset", frozenset(vs))
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, str, str]) -> "Triangle":
-        """A triangle from three distinct valid labels, already sorted; the
-        labels are not re-checked.  Its callers are ``parse_triangulation``,
-        whose tokens come from splitting a line at whitespace after cutting
-        it at ``#`` (so none is empty or holds either), and
-        ``reconstruct._build``, which makes its own labels."""
+        """A triangle from a tuple the caller guarantees holds three
+        distinct valid labels, sorted; nothing is re-checked, and equality,
+        hashing and the duplicate check of ``Triangulation`` rest on that
+        guarantee.  Its callers are ``parse_triangulation``, whose tokens
+        come from splitting a line at whitespace after cutting it at ``#``
+        (so none is empty or holds either), and ``reconstruct._build``,
+        which makes its own labels."""
         t = object.__new__(cls)
         # A frozen dataclass refuses setattr.  Writing t.__dict__ instead
-        # would be cheaper here, but it gives the instance a full dict,
-        # which on CPython 3.11 makes every later attribute read several
-        # times slower.
-        set_ = object.__setattr__
-        set_(t, "vertices", vertices)
-        set_(t, "_vset", frozenset(vertices))
+        # gives the instance a full dict, which on CPython 3.11 makes every
+        # later attribute read several times slower.
+        object.__setattr__(t, "vertices", vertices)
         return t
 
     @property
     def vertex_set(self) -> frozenset[str]:
-        return self._vset  # type: ignore[attr-defined]
+        return frozenset(self.vertices)
 
     def edges(self) -> tuple[frozenset[str], ...]:
         a, b, c = self.vertices
@@ -127,18 +134,20 @@ class Triangulation:
         tris = tuple(triangles)
         if not tris:
             raise ValueError("a triangulation needs at least one triangle")
-        seen: set[frozenset[str]] = set()
-        for t in tris:
-            if not isinstance(t, Triangle):
-                raise TypeError(f"expected Triangle, got {type(t).__name__}")
-            if t.vertex_set in seen:
-                raise ValueError(f"duplicate triangle: {t}")
-            seen.add(t.vertex_set)
-        self.triangles: tuple[Triangle, ...] = tris
+        # Both constructors of Triangle store sorted labels, so the label
+        # tuple is the duplicate key.
+        seen: set[tuple[str, ...]] = set()
         vertex_map: dict[str, list[int]] = {}
         for i, t in enumerate(tris):
-            for v in t.vertices:
+            if not isinstance(t, Triangle):
+                raise TypeError(f"expected Triangle, got {type(t).__name__}")
+            vs = t.vertices
+            if vs in seen:
+                raise ValueError(f"duplicate triangle: {t}")
+            seen.add(vs)
+            for v in vs:
                 vertex_map.setdefault(v, []).append(i)
+        self.triangles: tuple[Triangle, ...] = tris
         self._vertex_map = {v: tuple(ix) for v, ix in vertex_map.items()}
         self._vertices = tuple(sorted(vertex_map))
         # Derived facts, each set on first use by the function that works

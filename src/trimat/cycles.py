@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import catalog
 from ._search import DEFAULT_NODE_CAP, _grow
@@ -156,12 +156,10 @@ def classify_realization(
         tris = tuple(triangles)
         _check_is_realization(tris)
     n = len(tris)
-    sets = [t.vertex_set for t in tris]
-
-    common = frozenset.intersection(*sets)
-    if common:
+    labels = [t.vertices for t in tris]
+    if set(labels[0]).intersection(*labels):
         return disk(n)
-    band = _band_encodings().get(_canonical_encoding(sets))
+    band = _band_encodings().get(_canonical_encoding(labels))
     if band is not None:
         return band
     raise TrichotomyError(
@@ -196,7 +194,7 @@ def enumerate_realizations(
     if not 3 <= n <= ORACLE_MAX_N:
         raise ValueError(f"enumeration supports 3 <= n <= {ORACLE_MAX_N}, got {n}")
     found = {
-        _canonical_encoding([frozenset(t) for t in tri])
+        _canonical_encoding(tri)
         for tri in _grow(ncycle_matrix(n), DEFAULT_NODE_CAP)
     }
 
@@ -211,9 +209,10 @@ def enumerate_realizations(
     return results
 
 
-def _canonical_encoding(seq: Sequence[frozenset]) -> tuple[tuple[int, ...], ...]:
+def _canonical_encoding(seq: Sequence[Iterable]) -> tuple[tuple[int, ...], ...]:
     """The smallest sorted tuple of vertex stars over the 2n dihedral
-    re-indexings of ``seq``.
+    re-indexings of ``seq``, whose entries are triangles given by their
+    three distinct vertices, in any order.
 
     The star of a vertex is the sorted tuple of the indices of the
     triangles that contain it.  A sequence of triangles is known up to
@@ -241,6 +240,6 @@ def _canonical_encoding(seq: Sequence[frozenset]) -> tuple[tuple[int, ...], ...]
 def _band_encodings() -> dict[tuple[tuple[int, ...], ...], CycleClass]:
     """The canonical encodings of the two catalog bands, with their class."""
     return {
-        _canonical_encoding([t.vertex_set for t in band().triangles]): cls
+        _canonical_encoding([t.vertices for t in band().triangles]): cls
         for band, cls in ((catalog.moebius5, MOEBIUS5), (catalog.moebius6, MOEBIUS6))
     }

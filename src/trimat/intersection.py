@@ -68,7 +68,7 @@ _VALID_ENTRIES = (-1, 0, 1, 2)
 
 def intersection_dim(t1: Triangle, t2: Triangle) -> int:
     """Dimension of the intersection simplex: |t1 ∩ t2| - 1."""
-    return len(t1.vertex_set & t2.vertex_set) - 1
+    return sum(v in t2.vertices for v in t1.vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class IntersectionMatrix:
             raise MappingError(f"permutation size {perm.n} != matrix size {self.n}")
         # New row a is old row inv[a] read at the columns inv (itemgetter
         # of one index returns an entry, not a row).
-        inv = perm.inverse().forward
+        inv = _search._inverse(perm.forward)
         read = itemgetter(*inv) if self.n > 1 else tuple
         return IntersectionMatrix._trusted(tuple(read(self.entries[i]) for i in inv))
 
@@ -212,10 +212,7 @@ class TriangleBijection:
         return iter(self.forward)
 
     def inverse(self) -> "TriangleBijection":
-        inv = [0] * self.n
-        for i, j in enumerate(self.forward):
-            inv[j] = i
-        return TriangleBijection._trusted(tuple(inv))
+        return TriangleBijection._trusted(_search._inverse(self.forward))
 
     def compose(self, first: "TriangleBijection") -> "TriangleBijection":
         """self ∘ first: apply ``first``, then ``self``."""

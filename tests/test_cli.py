@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -41,6 +42,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """Run ``python -m trimat.cli`` in a fresh interpreter that imports
+    this trimat."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "trimat.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -52,6 +66,9 @@ class TestGenAndMatrix:
         code, out, _ = run(capsys, "gen", "--name", "tp10")
         assert code == 0
         assert parse_triangulation(out) == tp10
+        # The module entry point exits with main's code.
+        done = run_module("gen", "--name", "tp10")
+        assert (done.returncode, done.stdout) == (0, serialize_triangulation(tp10))
 
     def test_gen_disk_fan(self, capsys):
         code, out, _ = run(capsys, "gen", "--name", "disk_fan", "--n", "6")
@@ -62,6 +79,8 @@ class TestGenAndMatrix:
         code, _, err = run(capsys, "gen", "--name", "dodecahedron")
         assert code == 2
         assert "error" in err
+        done = run_module("gen", "--name", "dodecahedron")
+        assert (done.returncode, done.stdout) == (2, "")
 
     def test_gen_disk_fan_too_small(self, capsys):
         code, _, err = run(capsys, "gen", "--name", "disk_fan", "--n", "2")

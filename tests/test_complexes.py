@@ -204,6 +204,17 @@ class TestParsing:
             Triangulation([t, ("a", "b", "d")])
         with pytest.raises(ValueError, match="duplicate triangle"):
             Triangulation([t, Triangle(("c", "b", "a"))])
+        # The duplicate key is the sorted label tuple, which the trusted
+        # constructor takes as given.
+        with pytest.raises(ValueError, match="duplicate triangle: a b c"):
+            Triangulation([t, Triangle._trusted(("a", "b", "c"))])
+        others = [Triangle(("a", "b", "d")), Triangle(("a", "c", "d"))]
+        with pytest.raises(ValueError, match="duplicate triangle: a b c"):
+            Triangulation([t, *others, Triangle(("b", "a", "c"))])
+        # Triangles are checked in order, so a duplicate met before a
+        # non-triangle is the error reported.
+        with pytest.raises(ValueError, match="duplicate triangle: a b c"):
+            Triangulation([t, t, ("a", "b", "d")])
 
     def test_equality_hash_and_repr(self):
         K = parse_triangulation(TETRA_TEXT)
@@ -226,11 +237,14 @@ class TestParsing:
     @given(ANY_LABEL_TRIANGLE_SETS)
     def test_parsed_triangles_equal_constructed_ones(self, triangle_sets):
         # The parser makes its triangles without Triangle's label checks.
-        K = Triangulation(Triangle(tuple(s)) for s in triangle_sets)
+        constructed = [Triangle(tuple(s)) for s in triangle_sets]
+        K = Triangulation(constructed)
         for t in parse_triangulation(serialize_triangulation(K)).triangles:
             assert t == Triangle(t.vertices)
-            # The vertex set is not part of equality.
             assert t.vertex_set == frozenset(t.vertices)
+            # The label tuple finds a duplicate where the vertex set would.
+            with pytest.raises(ValueError, match="duplicate triangle"):
+                Triangulation([*constructed, t])
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(near_surfaces(), RANDOM_TRIANGLE_SETS))

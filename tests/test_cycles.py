@@ -12,6 +12,7 @@ from trimat import (
     CycleClass,
     PatternError,
     Triangle,
+    TrichotomyError,
     classify_realization,
     disk,
     disk_fan,
@@ -22,6 +23,7 @@ from trimat import (
     ncycle_matrix,
     boundary_edges,
 )
+from trimat import cycles
 from trimat.complexes import _oriented_consistently
 from trimat.cycles import _canonical_encoding
 
@@ -71,9 +73,14 @@ class TestClassifier:
     def test_fan_is_disk(self):
         assert classify_realization(disk_fan(7).triangles) == disk(7)
 
-    def test_moebius_templates(self):
+    def test_moebius_templates(self, monkeypatch):
         assert classify_realization(moebius5().triangles) == MOEBIUS5
         assert classify_realization(moebius6().triangles) == MOEBIUS6
+        # Without the bands' encodings a band is a realization of no known
+        # type, which the classifier reports instead of guessing.
+        monkeypatch.setattr(cycles, "_band_encodings", lambda: {})
+        with pytest.raises(TrichotomyError, match="5-cycle realization matched none"):
+            classify_realization(moebius5().triangles)
 
     def test_rejects_non_realization(self):
         tris = [Triangle("abc"), Triangle("abd"), Triangle("cde"), Triangle("aef")]

@@ -11,6 +11,7 @@ from trimat import (
     IntersectionMatrix,
     PatternError,
     ReconstructionError,
+    Triangle,
     TriangleBijection,
     detect_exceptional,
     intersection_dim,
@@ -148,6 +149,8 @@ class TestReconstruct:
         for seed, (name, K) in enumerate(corpus):
             M = reindexed(intersection_matrix(K), seed)
             L = reconstruct(M).complex
+            # The answer's triangles are made without the label checks.
+            assert all(t == Triangle(t.vertices) for t in L.triangles), name
             own = intersection_matrix(L)
             assert own is not M and own.entries is not M.entries, name
             dense = tuple(
