@@ -8,112 +8,24 @@ recognize the two projective-plane triangulations whose matrices admit
 self-maps that no vertex map induces.
 """
 
-from .catalog import CatalogEntry, disk_fan, moebius5, moebius6, standard, tp10, tp12
-from .complexes import (
-    SurfaceReport,
-    Triangle,
-    Triangulation,
-    boundary_edges,
-    euler_characteristic,
-    orientability,
-    parse_triangulation,
-    serialize_triangulation,
-    validate_closed_surface,
-    vertex_star,
-)
-from .cycles import (
-    MOEBIUS5,
-    MOEBIUS6,
-    CycleClass,
-    CycleRealization,
-    classify_realization,
-    disk,
-    enumerate_realizations,
-    expected_classes,
-    ncycle_matrix,
-)
-from .errors import (
-    BudgetExceededError,
-    MappingError,
-    ParseError,
-    PatternError,
-    ReconstructionError,
-    SurfaceError,
-    TrichotomyError,
-    TrimatError,
-)
-from .intersection import (
-    Extended,
-    ExtensionResult,
-    IntersectionMatrix,
-    NonExtendable,
-    TriangleBijection,
-    extend_to_simplicial,
-    find_intersection_preserving_bijections,
-    intersection_dim,
-    intersection_matrix,
-    is_intersection_preserving,
-    isomorphic,
-    parse_bijection,
-    parse_matrix,
-    serialize_bijection,
-    serialize_matrix,
-)
-from .reconstruct import ReconstructionResult, detect_exceptional, reconstruct
+# Each module's __all__ is the one list of the names the package exports.
+# The reconstruct module is bound under an alias before its star import
+# rebinds ``trimat.reconstruct`` to the function.
+from . import catalog, complexes, cycles, errors, intersection, reconstruct as _reconstruct
+from .catalog import *
+from .complexes import *
+from .cycles import *
+from .errors import *
+from .intersection import *
+from .reconstruct import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CatalogEntry",
-    "CycleClass",
-    "CycleRealization",
-    "Extended",
-    "ExtensionResult",
-    "IntersectionMatrix",
-    "MappingError",
-    "MOEBIUS5",
-    "MOEBIUS6",
-    "NonExtendable",
-    "ParseError",
-    "PatternError",
-    "ReconstructionError",
-    "ReconstructionResult",
-    "SurfaceError",
-    "SurfaceReport",
-    "Triangle",
-    "TriangleBijection",
-    "Triangulation",
-    "TrichotomyError",
-    "TrimatError",
-    "boundary_edges",
-    "classify_realization",
-    "detect_exceptional",
-    "disk",
-    "disk_fan",
-    "enumerate_realizations",
-    "euler_characteristic",
-    "expected_classes",
-    "extend_to_simplicial",
-    "find_intersection_preserving_bijections",
-    "intersection_dim",
-    "intersection_matrix",
-    "is_intersection_preserving",
-    "isomorphic",
-    "moebius5",
-    "moebius6",
-    "ncycle_matrix",
-    "orientability",
-    "parse_bijection",
-    "parse_matrix",
-    "parse_triangulation",
-    "reconstruct",
-    "serialize_bijection",
-    "serialize_matrix",
-    "serialize_triangulation",
-    "standard",
-    "tp10",
-    "tp12",
-    "validate_closed_surface",
-    "vertex_star",
-]
+__all__ = (
+    catalog.__all__
+    + complexes.__all__
+    + cycles.__all__
+    + errors.__all__
+    + intersection.__all__
+    + _reconstruct.__all__
+)

@@ -25,8 +25,6 @@ __all__ = [
     "moebius5",
     "moebius6",
     "CatalogEntry",
-    "CLOSED_SURFACES",
-    "catalog_names",
 ]
 
 

@@ -105,7 +105,7 @@ def ncycle_matrix(n: int) -> IntersectionMatrix:
             else:
                 row.append(0)
         rows.append(tuple(row))
-    return IntersectionMatrix(tuple(rows))
+    return IntersectionMatrix._trusted(tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TrimatError",
+    "ParseError",
+    "SurfaceError",
+    "PatternError",
+    "TrichotomyError",
+    "MappingError",
+    "ReconstructionError",
+    "BudgetExceededError",
+]
+
 
 class TrimatError(Exception):
     """Base class for all library errors."""

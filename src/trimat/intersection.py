@@ -79,8 +79,8 @@ class IntersectionMatrix:
     in, so the matrix is hashable and equals its tuple twin.  It validates
     every entry, for matrices that callers build and for ``parse_matrix``.
     The matrices the library makes itself are correct by construction and
-    skip that check: ``intersection_matrix`` and ``permuted`` build them
-    through ``_trusted``.
+    skip that check: ``intersection_matrix``, ``permuted`` and
+    ``cycles.ncycle_matrix`` build them through ``_trusted``.
 
     Besides its entries a matrix keeps two facts that the searches in
     ``_search`` read, each worked out on first use: ``_view``, the sparse

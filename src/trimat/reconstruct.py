@@ -33,7 +33,6 @@ __all__ = [
     "ReconstructionResult",
     "reconstruct",
     "detect_exceptional",
-    "DEFAULT_NODE_CAP",
 ]
 
 

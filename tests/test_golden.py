@@ -9,8 +9,9 @@ its extensions, both modes of ``reconstruct``, exceptional detection, the
 growth search's placements, the cycle oracle, verdicts and error texts
 on random matrices, the vertex search of ``simplicial_automorphisms`` on
 catalog complexes, fans, subdivisions, grid tori and random pure
-2-complexes, and the ``verify-corpus`` report with its timings taken
-out.  Two groups pin work rather than answers:
+2-complexes, the ``verify-corpus`` report with its timings taken out,
+and ``exports``, the package's public names with the kind and defining
+module of each.  Two groups pin work rather than answers:
 ``growth-nodes`` records how many candidates the growth search places
 before it runs out, and ``vertex-stars`` the cyclic order of every vertex
 star, which the bijection extension reads.  The inputs are seeded, and the copies carry
@@ -18,6 +19,7 @@ fresh indices and labels, so the order of every search is pinned too.
 """
 
 import hashlib
+import inspect
 import io
 import random
 import re
@@ -25,6 +27,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import trimat
 from trimat import (
     BudgetExceededError,
     Extended,
@@ -65,6 +68,7 @@ GOLDEN = {
     "random-kernel": "0ad47443087bdc70d6caf161f1e766aab2eced55",
     "automorphisms": "6bdf1a68b204457d90b082ba78fae938c7d92162",
     "verify-corpus": "87c762445c31ea6ec2df392bcbce3a608f8d9329",
+    "exports": "b0a302b004f8410135f0ea1d92f69999f2d7f2ae",
 }
 
 
@@ -217,6 +221,22 @@ def render_verify_corpus(_tmp):
     yield re.sub(r" \(\d+\.\d\ds\)", "", out.getvalue())
 
 
+def render_exports(_tmp):
+    names = sorted(trimat.__all__)
+    assert len(set(names)) == len(names)
+    assert inspect.isfunction(trimat.reconstruct)
+    for name in ("catalog", "complexes", "cycles", "errors", "intersection"):
+        assert inspect.ismodule(getattr(trimat, name))
+    for name in names:
+        obj = getattr(trimat, name)
+        if isinstance(obj, type):
+            yield f"{name} class {obj.__module__}"
+        elif inspect.isfunction(obj):
+            yield f"{name} function {obj.__module__}"
+        else:
+            yield f"{name} value -"
+
+
 def symmetric(n, rng, draw):
     rows = [[2] * n for _ in range(n)]
     for i in range(n):
@@ -286,6 +306,7 @@ RENDER = {
     "random-kernel": render_random_kernel,
     "automorphisms": render_automorphisms,
     "verify-corpus": render_verify_corpus,
+    "exports": render_exports,
 }
 
 
