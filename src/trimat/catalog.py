@@ -7,7 +7,10 @@ cycle-link models (disk fan, the 5- and 6-triangle Moebius bands).  The
 private ``_grid_torus(a, b)`` builds the 6-regular tori of any size.
 
 Labelings are fixed so fixtures and CLI output are reproducible
-byte-for-byte.
+byte-for-byte.  ``standard(name)`` builds each catalog complex once per
+process and returns that same complex afterwards, so the facts a complex
+keeps (its validation, matrix, search view and plan) are worked out once;
+the named builders return a new complex on each call.
 """
 
 from __future__ import annotations
@@ -194,9 +197,15 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(_ENTRIES)
 
 
+_BUILT: dict[str, Triangulation] = {}
+
+
 def standard(name: str) -> Triangulation:
-    """The catalog complex ``name``, one of ``catalog_names()``; ``disk_fan(n)`` builds fans."""
-    return entry(name).builder()
+    """The catalog complex ``name``, one of ``catalog_names()``, built on
+    the first call and shared by every later one; ``disk_fan(n)`` builds fans."""
+    if name not in _BUILT:
+        _BUILT[name] = entry(name).builder()
+    return _BUILT[name]
 
 
 def entry(name: str) -> CatalogEntry:

@@ -172,9 +172,10 @@ class TriangleBijection:
     """A bijection of triangle index sets, stored as the image sequence.
 
     The constructor stores the images as a tuple and checks that they are
-    a permutation.  The maps the search kernel yields, and inverses and
-    compositions of valid maps, are permutations by construction and skip
-    that check through ``_trusted``.
+    a permutation.  The maps the search kernel yields, inverses and
+    compositions of valid maps, and the shuffles of ``range(n)`` that
+    verification criteria 6 and 7 draw are permutations by construction
+    and skip that check through ``_trusted``.
     """
 
     forward: tuple[int, ...]

@@ -14,14 +14,14 @@ a pinched vertex nor four triangles on one edge (a placement of the 4x4
 all-ones matrix).  It stops at the first unless asked for all.
 
 The two matrices whose complexes admit non-extendable self-maps are
-recognized separately: ``detect_exceptional`` compares against the stored
-canonical matrices of the 10- and 12-triangle projective planes.
+recognized separately: ``detect_exceptional`` compares against the
+matrices of the catalog's 10- and 12-triangle projective planes, which
+``catalog.standard`` builds once and which keep their own matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import catalog
 from ._search import DEFAULT_NODE_CAP, _grow, iter_bijections
@@ -52,23 +52,18 @@ class ReconstructionResult:
     all_solutions_isomorphic: bool | None
 
 
-@lru_cache(maxsize=None)
-def _exceptional_matrix(name: str) -> IntersectionMatrix:
-    return intersection_matrix(catalog.standard(name))
-
-
 def detect_exceptional(M: IntersectionMatrix) -> str | None:
     """Return "TP10"/"TP12" when M is permutation equivalent to the matrix
     of the corresponding projective-plane triangulation, else None.
 
-    Any one preserving bijection from the stored matrix onto M settles
-    it, so the kernel's search stops at the first it finds.  Sizes other
-    than 10 and 12 short-circuit without a bijection search, but only
-    after ``_check_preconditions`` has scanned every row.
+    Any one preserving bijection onto M from the catalog complex's matrix
+    settles it, so the kernel's search stops at the first it finds.  Sizes
+    other than 10 and 12 short-circuit without a bijection search, but
+    only after ``_check_preconditions`` has scanned every row.
     """
     _check_preconditions(M)
     name = {10: "tp10", 12: "tp12"}.get(M.n)
-    if name and next(iter_bijections(_exceptional_matrix(name), M), None) is not None:
+    if name and next(iter_bijections(intersection_matrix(catalog.standard(name)), M), None) is not None:
         return name.upper()
     return None
 

@@ -1,5 +1,7 @@
 """Catalog constructors and their fixed labelings."""
 
+import dataclasses
+
 import pytest
 
 from trimat import (
@@ -15,7 +17,8 @@ from trimat import (
     tp12,
     validate_closed_surface,
 )
-from trimat.catalog import CLOSED_SURFACES, _grid_torus, catalog_names, entry
+from trimat.catalog import CLOSED_SURFACES, _ENTRIES, _grid_torus, catalog_names, entry
+from trimat.verification import run_all_checks
 
 
 TP10_TEXT = """\
@@ -159,3 +162,18 @@ class TestStandardLookup:
         # The two exceptional complexes can never be related by a triangle
         # bijection: their triangle counts differ.
         assert tp10().n != tp12().n
+
+    def test_standard_builds_each_complex_once(self, monkeypatch):
+        for name in catalog_names():
+            assert standard(name) is standard(name), name
+        run_all_checks()
+        calls = []
+
+        def counted(e):
+            return lambda: (calls.append(e.name), e.builder())[1]
+
+        for name, e in list(_ENTRIES.items()):
+            monkeypatch.setitem(_ENTRIES, name, dataclasses.replace(e, builder=counted(e)))
+        run_all_checks()
+        # Criterion 1 checks what the builders make, so it calls each once.
+        assert sorted(calls) == sorted(CLOSED_SURFACES)

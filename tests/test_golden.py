@@ -14,8 +14,9 @@ and ``exports``, the package's public names with the kind and defining
 module of each.  Two groups pin work rather than answers:
 ``growth-nodes`` records how many candidates the growth search places
 before it runs out, and ``vertex-stars`` the cyclic order of every vertex
-star, which the bijection extension reads.  The inputs are seeded, and the copies carry
-fresh indices and labels, so the order of every search is pinned too.
+star, which ``trimat classify-link`` classifies; the bijection extension
+reads only the set of each star.  The inputs are seeded, and the copies
+carry fresh indices and labels, so the order of every search is pinned too.
 """
 
 import hashlib

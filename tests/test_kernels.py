@@ -18,7 +18,6 @@ from trimat import (
 from trimat._search import _in_order, _near, _plan, iter_bijections
 from trimat.catalog import CLOSED_SURFACES, _grid_torus
 from trimat.intersection import _extensions
-from trimat.reconstruct import _exceptional_matrix
 from trimat.verification import simplicial_automorphisms
 
 from test_robustness import reindexed, reindexed_relabelled
@@ -260,7 +259,7 @@ class TestSearchOrder:
     def test_exceptional_detection_stops_at_the_first_map(self, name):
         # ``find`` with limit 1 must sort the first group, so it reads it
         # all; detection needs any one map and stops at the first.
-        source = _exceptional_matrix(name)
+        source = intersection_matrix(standard(name))
         for seed in range(10):
             m = reindexed(source, seed).entries
             detected, listed = CountedRows(m), CountedRows(m)

@@ -119,7 +119,8 @@ class TestReconstruct:
         search = importlib.import_module("trimat._search")
         check, near, plan = module._check_preconditions, search._near, search._plan
         for name, K in corpus:
-            # The stored tp10 and tp12 matrices hold their own views.
+            # The catalog's tp10 and tp12 complexes keep their matrices,
+            # and those matrices their own views and plans.
             detect_exceptional(intersection_matrix(K))
         calls, views, plans = [], [], []
         monkeypatch.setattr(

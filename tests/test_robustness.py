@@ -14,6 +14,7 @@ from trimat import (
     Triangle,
     TriangleBijection,
     Triangulation,
+    TrimatError,
     euler_characteristic,
     extend_to_simplicial,
     find_intersection_preserving_bijections,
@@ -201,6 +202,34 @@ class TestAdversarialMatrices:
                 assert result.all_solutions_isomorphic is True
         assert realized + rejected == 30
         assert rejected > 0  # most random patterns are not surfaces
+
+    def test_near_valid_matrices_end_in_a_verdict(self):
+        # Flipping distinct symmetric pairs 0 <-> -1 keeps symmetry, the
+        # diagonal and each row's three 1s, so the row checks pass and the
+        # growth search runs on a matrix one to three pairs from a surface.
+        matrices = (
+            intersection_matrix(K)
+            for name in CLOSED_SURFACES
+            for K in (standard(name), subdivided(name, 1))
+        )
+        sources = [M for M in matrices if min(map(min, M.entries)) < 1]
+        assert len(sources) == 11  # all but the plain tetrahedron
+        rng = random.Random(29)
+        for trial in range(240):
+            M = reindexed(rng.choice(sources), rng.randrange(10**6))
+            rows = [list(row) for row in M.entries]
+            pairs = [(i, j) for i in range(M.n) for j in range(i) if rows[i][j] < 1]
+            for i, j in rng.sample(pairs, rng.randint(1, 3)):
+                rows[i][j] = rows[j][i] = -1 - rows[i][j]
+            mutant = IntersectionMatrix(rows)
+            assert mutant.entries != M.entries, trial
+            try:
+                result = reconstruct(mutant, node_cap=20 * mutant.n)
+            except TrimatError:
+                continue
+            assert intersection_matrix(result.complex).entries == mutant.entries, trial
+            assert validate_closed_surface(result.complex).is_closed_surface, trial
+            assert result.all_solutions_isomorphic is True, trial
 
 
 def orientable_by_definition(K: Triangulation) -> bool:
