@@ -6,12 +6,14 @@ shares exactly one vertex.  On a closed surface the triangles around any
 vertex realize this pattern.  A realization can look like only three
 things: a fan of n triangles around a hub vertex (a triangulated disk),
 or one of two exceptional band-shaped realizations that exist solely at
-n = 5 and n = 6.
+n = 5 and n = 6.  A ``CycleRealization`` is checked against the pattern,
+and keeps its triangles as a tuple, in its constructor.
 
-``classify_realization`` decides the type: a disk has a vertex common to
-all n triangles, and the two bands are recognized by canonical form, the
-same one the oracle deduplicates with, compared against the catalog's
-``moebius5`` and ``moebius6``.  The canonical form knows each vertex by
+``classify_realization`` builds one from a plain sequence and decides
+its type: a disk has a vertex common to all n triangles, and the two
+bands are recognized by canonical form, the same one the oracle
+deduplicates with, compared against the catalog's ``moebius5`` and
+``moebius6``.  The canonical form knows each vertex by
 its star, the indices of the triangles that contain it: a sequence is
 fixed up to renaming by the multiset of its stars, and the form is the
 smallest sorted tuple of stars over the 2n rotations and reflections of
@@ -111,27 +113,27 @@ def ncycle_matrix(n: int) -> IntersectionMatrix:
 @dataclass(frozen=True)
 class CycleRealization:
     """An indexed triangle sequence whose matrix is exactly the n-cycle
-    pattern of its length."""
+    pattern of its length.  The constructor checks the pattern and keeps
+    the sequence as a tuple, so a realization built from a list equals,
+    and hashes as, the one built from the same tuple."""
 
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self) -> None:
-        _check_is_realization(self.triangles)
-
-
-def _check_is_realization(triangles: Sequence[Triangle]) -> None:
-    n = len(triangles)
-    if n < 3:
-        raise PatternError(f"an n-cycle realization needs n >= 3, got {n}")
-    target = ncycle_matrix(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = intersection_dim(triangles[i], triangles[j])
-            if got != target[i, j]:
-                raise PatternError(
-                    f"triangles {i} and {j} intersect in dimension {got}, "
-                    f"the {n}-cycle pattern requires {target[i, j]}"
-                )
+        object.__setattr__(self, "triangles", tuple(self.triangles))
+        tris = self.triangles
+        n = len(tris)
+        if n < 3:
+            raise PatternError(f"an n-cycle realization needs n >= 3, got {n}")
+        target = ncycle_matrix(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                got = intersection_dim(tris[i], tris[j])
+                if got != target[i, j]:
+                    raise PatternError(
+                        f"triangles {i} and {j} intersect in dimension {got}, "
+                        f"the {n}-cycle pattern requires {target[i, j]}"
+                    )
 
 
 def classify_realization(
@@ -150,11 +152,9 @@ def classify_realization(
     which the classification claims is impossible, so such an input is
     surfaced loudly instead of being coerced.
     """
-    if isinstance(triangles, CycleRealization):
-        tris = triangles.triangles
-    else:
-        tris = tuple(triangles)
-        _check_is_realization(tris)
+    if not isinstance(triangles, CycleRealization):
+        triangles = CycleRealization(triangles)
+    tris = triangles.triangles
     n = len(tris)
     labels = [t.vertices for t in tris]
     if set(labels[0]).intersection(*labels):

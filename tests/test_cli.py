@@ -31,7 +31,7 @@ from trimat.cli import main
 from trimat.errors import TrichotomyError
 from trimat.reconstruct import DEFAULT_NODE_CAP
 
-from test_robustness import reindexed_relabelled
+from inputs import reindexed_relabelled
 
 TP10_SWAP_LINE = "5 7 9 6 8 0 2 4 1 3\n"
 

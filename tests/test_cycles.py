@@ -10,6 +10,7 @@ from trimat import (
     MOEBIUS5,
     MOEBIUS6,
     CycleClass,
+    CycleRealization,
     PatternError,
     Triangle,
     TrichotomyError,
@@ -90,6 +91,12 @@ class TestClassifier:
     def test_rejects_too_short(self):
         with pytest.raises(PatternError):
             classify_realization([Triangle("abc"), Triangle("abd")])
+
+    def test_realization_keeps_a_tuple(self):
+        tris = disk_fan(5).triangles
+        listed, kept = CycleRealization(list(tris)), CycleRealization(tuple(tris))
+        assert listed == kept and hash(listed) == hash(kept)
+        assert type(listed.triangles) is tuple
 
     @pytest.mark.parametrize("builder,want", [
         (moebius5, MOEBIUS5),

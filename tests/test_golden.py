@@ -53,8 +53,7 @@ from trimat.cli import main
 from trimat.reconstruct import DEFAULT_NODE_CAP, _grow
 from trimat.verification import simplicial_automorphisms
 
-from test_robustness import reindexed_relabelled, subdivide
-from test_verification import random_complex
+from inputs import random_complex, reindexed_relabelled, subdivide
 
 GOLDEN = {
     "maps": "e7857141c26f7f603699740e68e874d71c58638e",

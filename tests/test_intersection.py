@@ -32,7 +32,7 @@ from trimat import (
 )
 from trimat.verification import simplicial_automorphisms
 
-from test_robustness import subdivide
+from inputs import matrix_by_definition, reindexed_relabelled, subdivide
 
 # The swap self-map of tp10 exchanging the fan 5-cycle around x with the
 # band 5-cycle of the r-triangles: g(s_i) = r_(2i mod 5), g(r_i) = s_(2i mod 5).
@@ -168,11 +168,6 @@ class TestIntersectionMatrix:
             intersection_matrix(tp10).permuted(TriangleBijection.identity(4))
 
 
-def matrix_by_definition(K):
-    """The pairwise intersection dimensions, one triangle pair at a time."""
-    return tuple(tuple(intersection_dim(s, t) for t in K.triangles) for s in K.triangles)
-
-
 class TestMatrixConstruction:
     """``intersection_matrix`` counts shared vertices through the vertex
     index and skips the constructor's validation, as ``permuted`` does.
@@ -185,8 +180,8 @@ class TestMatrixConstruction:
         for seed, (name, K) in enumerate(corpus):
             once = subdivide(K)
             out += [(name, K), (f"{name}/1", once), (f"{name}/2", subdivide(once))]
-            out += [(f"{name}~", shuffled_relabelled(K, seed))]
-            out += [(f"{name}/1~", shuffled_relabelled(once, seed))]
+            out += [(f"{name}~", reindexed_relabelled(K, seed))]
+            out += [(f"{name}/1~", reindexed_relabelled(once, seed))]
         return out + [("disk_fan", disk_fan(5)), ("moebius5", moebius5()), ("moebius6", moebius6())]
 
     def test_matches_definition_and_validates(self, corpus):
@@ -352,7 +347,7 @@ class TestExtension:
 
     def test_counts_onto_reindexed_relabelled_copies(self, corpus):
         for seed, (name, K) in enumerate(corpus):
-            K2 = shuffled_relabelled(K, seed)
+            K2 = reindexed_relabelled(K, seed)
             maps = find_intersection_preserving_bijections(
                 intersection_matrix(K), intersection_matrix(K2)
             )
@@ -373,7 +368,7 @@ class TestExtension:
         # preserving maps walks each of the two complexes once.
         from trimat import complexes
 
-        K, K2 = Triangulation(tp10.triangles), shuffled_relabelled(tp10, 4)
+        K, K2 = Triangulation(tp10.triangles), reindexed_relabelled(tp10, 4)
         real = complexes._is_connected
         walked = []
 
@@ -434,7 +429,7 @@ class TestExtensionCertificate:
     )
     def test_raises_exactly_off_the_preserving_maps(self, name, maps, extended):
         K = standard(name)
-        K2 = shuffled_relabelled(K, 9)
+        K2 = reindexed_relabelled(K, 9)
         found = find_intersection_preserving_bijections(
             intersection_matrix(K), intersection_matrix(K2)
         )
@@ -459,23 +454,10 @@ class TestExtensionCertificate:
         assert refused >= 40
 
 
-def shuffled_relabelled(K, seed):
-    """K with its triangles in a seeded order and its vertices renamed."""
-    rng = random.Random(seed)
-    order = list(range(K.n))
-    rng.shuffle(order)
-    verts = list(K.vertices())
-    rng.shuffle(verts)
-    names = {v: f"w{k}" for k, v in enumerate(verts)}
-    return Triangulation(
-        Triangle(tuple(names[v] for v in K.triangles[i].vertices)) for i in order
-    )
-
-
 class TestIsomorphic:
     def test_reindexed_relabelled_copies(self, corpus):
         for seed, (name, K) in enumerate(corpus):
-            assert isomorphic(K, shuffled_relabelled(K, seed)), name
+            assert isomorphic(K, reindexed_relabelled(K, seed)), name
 
     def test_different_surfaces(self, tp10, tp12, tetrahedron, octahedron):
         assert not isomorphic(tp10, tp12)
@@ -496,7 +478,7 @@ class TestIsomorphic:
         # In this reindexing the lexicographically first preserving
         # bijection is one of tp10's 60 non-extendable self-maps, so an
         # answer taken from the first map alone would be False.
-        K2 = shuffled_relabelled(tp10, 1)
+        K2 = reindexed_relabelled(tp10, 2)
         M, M2 = intersection_matrix(tp10), intersection_matrix(K2)
         (first,) = find_intersection_preserving_bijections(M, M2, limit=1)
         assert isinstance(extend_to_simplicial(tp10, K2, first), NonExtendable)

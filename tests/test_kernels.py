@@ -20,7 +20,7 @@ from trimat.catalog import CLOSED_SURFACES, _grid_torus
 from trimat.intersection import _extensions
 from trimat.verification import simplicial_automorphisms
 
-from test_robustness import reindexed, reindexed_relabelled
+from inputs import TORI, random_matrix, reindexed, reindexed_relabelled
 
 
 def found(M, M2, limit=None):
@@ -60,14 +60,6 @@ def reference_search(m1, m2, limit=None):
             if limit is not None and len(out) >= limit:
                 break
     return out
-
-
-def random_matrix(n, rng):
-    entries = [[2] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            entries[i][j] = entries[j][i] = rng.choice((-1, 0, 0, 1, 1))
-    return tuple(tuple(row) for row in entries)
 
 
 def random_kernel_inputs():
@@ -173,11 +165,6 @@ class TestCosets:
             m2 = CountedRows(reindexed(M, seed).entries)
             maps = sum(1 for _ in iter_bijections(M, IntersectionMatrix._trusted(m2)))
             assert m2.reads < 0.75 * maps * M.n, seed
-
-
-#: (a, b), then the preserving self-maps of the 6-regular torus T(a, b) per
-#: triangle.
-TORI = [((a, a), 6) for a in range(3, 9)] + [((3, 4), 1), ((3, 5), 1), ((4, 6), 1)]
 
 
 class TestOrbits:

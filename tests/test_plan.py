@@ -10,7 +10,7 @@ from trimat import intersection_matrix
 from trimat._search import _near, _plan
 from trimat.catalog import CLOSED_SURFACES
 
-from test_robustness import reindexed, subdivided
+from inputs import reindexed, subdivided
 
 
 def dense_plan(m):

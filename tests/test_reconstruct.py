@@ -14,7 +14,6 @@ from trimat import (
     Triangle,
     TriangleBijection,
     detect_exceptional,
-    intersection_dim,
     intersection_matrix,
     isomorphic,
     moebius5,
@@ -25,8 +24,7 @@ from trimat import (
 )
 from trimat.reconstruct import DEFAULT_NODE_CAP, _build, _grow
 
-from test_kernels import random_matrix
-from test_robustness import reindexed
+from inputs import matrix_by_definition, random_matrix, reindexed
 
 
 def unrealizable_6x6():
@@ -154,10 +152,7 @@ class TestReconstruct:
             assert all(t == Triangle(t.vertices) for t in L.triangles), name
             own = intersection_matrix(L)
             assert own is not M and own.entries is not M.entries, name
-            dense = tuple(
-                tuple(intersection_dim(s, t) for t in L.triangles) for s in L.triangles
-            )
-            assert own.entries == dense == M.entries, name
+            assert own.entries == matrix_by_definition(L) == M.entries, name
 
     def test_placement_is_kept_only_for_its_own_matrix(self, octahedron):
         # A placement is a closed surface either way; only the comparison

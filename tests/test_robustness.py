@@ -3,6 +3,7 @@ matrices.  Reconstruction must stay fast, deterministic, and honest about
 what it cannot realize."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,38 +12,33 @@ from trimat import (
     Extended,
     IntersectionMatrix,
     ReconstructionError,
-    Triangle,
     TriangleBijection,
     Triangulation,
     TrimatError,
+    boundary_edges,
+    classify_realization,
+    detect_exceptional,
     euler_characteristic,
     extend_to_simplicial,
     find_intersection_preserving_bijections,
     intersection_matrix,
+    is_intersection_preserving,
     isomorphic,
     orientability,
+    parse_matrix,
+    parse_triangulation,
     reconstruct,
     serialize_matrix,
+    serialize_triangulation,
     standard,
     validate_closed_surface,
+    vertex_star,
 )
 from trimat.catalog import CLOSED_SURFACES, entry
 from trimat.cli import main
+from trimat.verification import simplicial_automorphisms
 
-
-def subdivide(K: Triangulation) -> Triangulation:
-    """Split each triangle into 4 using edge-midpoint vertices; preserves
-    the underlying surface."""
-
-    def mid(u: str, v: str) -> str:
-        return "m_" + "_".join(sorted((u, v)))
-
-    tris = []
-    for t in K.triangles:
-        a, b, c = t.vertices
-        ab, ac, bc = mid(a, b), mid(a, c), mid(b, c)
-        tris += [(a, ab, ac), (b, ab, bc), (c, ac, bc), (ab, ac, bc)]
-    return Triangulation(Triangle(x) for x in tris)
+from inputs import random_complex, reindexed, reindexed_relabelled, subdivide, subdivided
 
 
 class TestSubdividedSurfaces:
@@ -65,19 +61,6 @@ class TestSubdividedSurfaces:
         first = reconstruct(M, find_all_solutions=False)
         second = reconstruct(M, find_all_solutions=False)
         assert first.complex == second.complex
-
-
-def subdivided(base: str, times: int) -> Triangulation:
-    K = standard(base)
-    for _ in range(times):
-        K = subdivide(K)
-    return K
-
-
-def reindexed(M: IntersectionMatrix, seed: int) -> IntersectionMatrix:
-    perm = list(range(M.n))
-    random.Random(seed).shuffle(perm)
-    return M.permuted(TriangleBijection(tuple(perm)))
 
 
 class TestLargeSurfaces:
@@ -116,17 +99,6 @@ class TestLargeSurfaces:
         assert find_intersection_preserving_bijections(M, M, limit=1) == [
             TriangleBijection.identity(M.n)
         ]
-
-
-def reindexed_relabelled(K: Triangulation, seed: int) -> Triangulation:
-    """K with its triangles in a seeded order and its vertices renamed."""
-    rng = random.Random(seed)
-    order = rng.sample(range(K.n), K.n)
-    verts = K.vertices()
-    names = dict(zip(verts, (f"w{k}" for k in rng.sample(range(len(verts)), len(verts)))))
-    return Triangulation(
-        Triangle(tuple(names[v] for v in K.triangles[i].vertices)) for i in order
-    )
 
 
 class TestReindexedSources:
@@ -268,3 +240,60 @@ class TestOrientabilityByDefinition:
     @pytest.mark.parametrize("name", CLOSED_SURFACES)
     def test_subdivision_keeps_verdict(self, name):
         assert orientability(subdivide(standard(name))) == entry(name).orientable
+
+
+def drawn_complex(rng: random.Random, kind: int) -> Triangulation:
+    """A random complex on 3-7 vertices (kind 0), a catalog closed surface
+    (kind 1) or its 1-fold subdivision (kind 2)."""
+    if kind == 0:
+        return random_complex(rng, rng.randint(3, 7))
+    K = standard(rng.choice(CLOSED_SURFACES))
+    return subdivide(K) if kind == 2 else K
+
+
+class TestErrorContract:
+    """Every public operation ends in a result or a ``TrimatError``: on
+    random complexes, which are mostly not surfaces, on catalog surfaces
+    and their subdivisions, and on pairs of these with reindexed,
+    relabelled copies.  Any other exception fails the test."""
+
+    def test_public_operations_return_or_raise_trimat_errors(self):
+        rng = random.Random(30)
+        outcomes = Counter()
+
+        def call(op, *args, **kwargs):
+            try:
+                result = op(*args, **kwargs)
+            except TrimatError:
+                outcomes["raised"] += 1
+                return None
+            outcomes["returned"] += 1
+            return result
+
+        for trial in range(300):
+            K = drawn_complex(rng, rng.randrange(3))
+            if rng.randrange(3):
+                K2 = drawn_complex(rng, rng.randrange(2))
+            else:
+                K2 = reindexed_relabelled(K, trial)
+            M, M2 = call(intersection_matrix, K), call(intersection_matrix, K2)
+            for op in (validate_closed_surface, orientability, euler_characteristic,
+                       boundary_edges, simplicial_automorphisms):
+                call(op, K)
+            for v in K.vertices():
+                call(vertex_star, K, v)
+            call(classify_realization, K.triangles)
+            assert call(parse_triangulation, call(serialize_triangulation, K)) == K, trial
+            assert call(parse_matrix, call(serialize_matrix, M)) == M, trial
+            call(reconstruct, M, node_cap=50 * M.n)
+            call(reconstruct, M, node_cap=50 * M.n, find_all_solutions=False)
+            call(detect_exceptional, M)
+            call(isomorphic, K, K2)
+            for g in call(find_intersection_preserving_bijections, M, M2, limit=3) or ():
+                call(extend_to_simplicial, K, K2, g)
+            if K.n == K2.n:
+                f = TriangleBijection(tuple(rng.sample(range(K.n), K.n)))
+                call(extend_to_simplicial, K, K2, f)
+                call(is_intersection_preserving, K, K2, f)
+                call(M.permuted, f)
+        assert outcomes["returned"] and outcomes["raised"], outcomes

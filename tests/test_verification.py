@@ -6,16 +6,16 @@ must be the count a walk over every preserving self-map gives."""
 
 import random
 import sys
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
-from test_kernels import TORI
-from test_robustness import reindexed_relabelled, subdivided
 from trimat import Extended, Triangle, Triangulation, catalog
 from trimat.catalog import _grid_torus
 from trimat.intersection import _extensions
 from trimat.verification import _count_extendable, simplicial_automorphisms
+
+from inputs import TORI, random_complex, reindexed_relabelled, subdivided
 
 
 def reference_automorphisms(K):
@@ -27,18 +27,6 @@ def reference_automorphisms(K):
         if {frozenset(image[v] for v in t) for t in triangles} == triangles:
             out.append(image)
     return out
-
-
-def random_complex(rng, vertices):
-    """A pure 2-complex of distinct triangles drawn at random on exactly
-    ``vertices`` vertices; often with boundary, and often with triangles
-    or parts that meet at a vertex only, or not at all."""
-    triples = list(combinations([f"v{i}" for i in range(vertices)], 3))
-    while True:
-        count = rng.randint(1, min(len(triples), vertices + 2))
-        K = Triangulation(Triangle(t) for t in rng.sample(triples, count))
-        if len(K.vertices()) == vertices:
-            return K
 
 
 def tetrahedron_on(a, b, c, d):
