@@ -85,7 +85,7 @@ output, and a lookup costs at most len(autos) prefix images, one entry
 of autos per group searched.  Looking up s(Q) as well, through s^-1,
 composes a few more groups but costs about as many prefix images as it
 saves.  So a caller that stops early (``limit``,
-``isomorphic``, ``detect_exceptional``, extension) leaves every group
+``detect_exceptional``, criterion 7's extension check) leaves every group
 after the last one it reads unvisited.  Stab and the table's identity
 entry are built when the first group ends, at the next group's prefix,
 and the rest of the table as later groups are yielded, since callers

@@ -31,12 +31,20 @@ one cycle, each edge {v, u} lies in exactly the two triangles of v's star
 that hold u, so the complex is closed; the edge index is built only when
 some link fails, or when ``edges``, ``triangles_on``, ``boundary_edges``,
 ``euler_characteristic`` or ``orientability`` asks for it.
+
+A simplicial isomorphism is a vertex bijection that maps the triangles
+onto the triangles.  ``_vertex_walk`` yields each one from one complex
+onto another, by a search along the 1-skeleton; it decides
+``intersection.isomorphic`` and lists
+``verification.simplicial_automorphisms``, and reads no intersection
+matrix.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Generator, Iterable
 
 from .errors import ParseError, SurfaceError
 
@@ -441,3 +449,106 @@ def vertex_star(K: Triangulation, v: str) -> tuple[int, ...]:
     if cycle is None:
         raise SurfaceError(f"the star of vertex {v!r} is not a single cycle")
     return cycle
+
+
+# -- simplicial maps ----------------------------------------------------------
+
+
+def _skeleton(K: Triangulation) -> tuple[list[tuple[int, ...]], list[list[int]], list[int]]:
+    """K on the indices of ``K.vertices()``: its triangles, in index order;
+    each vertex's closed neighbourhood in the 1-skeleton (the vertex and
+    its neighbours), ascending; and each vertex's degree, the number of
+    triangles that hold it."""
+    index = {v: i for i, v in enumerate(K.vertices())}
+    tris = [tuple(index[v] for v in t.vertices) for t in K.triangles]
+    adjacent: list[set[int]] = [set() for _ in index]
+    for t in tris:
+        for x in t:
+            adjacent[x].update(t)
+    return tris, [sorted(s) for s in adjacent], [len(K.triangles_at(v)) for v in index]
+
+
+def _vertex_walk(
+    K: Triangulation, K2: Triangulation, image: list[int]
+) -> Generator[int, object, None]:
+    """Each simplicial map from K onto K2, written into ``image``: vertex i
+    of ``K.vertices()`` goes to vertex image[i] of ``K2.vertices()``.
+
+    At each complete map the walk yields the index of its root, the vertex
+    it places first.  A reply of None goes on to the next map; any other
+    reply gives up the rest of the maps that send the root where this one
+    does, as ``_search._walk`` gives up a subtree.  Nothing comes out when
+    the vertex or triangle counts differ.
+
+    A simplicial map sends edges onto edges, so K's vertices are placed in
+    BFS order over the 1-skeleton.  The root is the lowest vertex of the
+    rarest degree, and each further component starts at its lowest vertex
+    not yet reached.  A root tries the vertices of K2 of its degree in
+    ascending order, so when K2 is K its first image is itself; any other
+    vertex takes only an unused vertex of its degree next to the image of
+    its BFS parent.  Once a vertex is placed, each triangle it completes
+    must land on a triangle, and nothing else is checked: every triangle
+    is checked when its last vertex is placed, so a complete map sends the
+    triangles injectively, and, the counts being equal, onto.  No map is
+    missed, since a simplicial map puts each vertex next to its parent's
+    image.  The walk keeps its own stack, so its depth is not bounded by
+    the interpreter's recursion limit.
+    """
+    n = len(K.vertices())
+    if n != len(K2.vertices()) or K.n != K2.n:
+        return
+    tris, neighbours, degree = _skeleton(K)
+    tris2, neighbours2, degree2 = (tris, neighbours, degree) if K2 is K else _skeleton(K2)
+    triangles2 = set(map(frozenset, tris2))
+    count = Counter(degree)
+    root = min(range(n), key=lambda v: (count[degree[v]], v))
+    # order: the BFS order; parent[v]: v's BFS parent, -1 for a root;
+    # position[v]: v's place in the order.
+    order, parent, position = [], [-1] * n, [-1] * n
+    for p in range(n):
+        if p == len(order):  # the root, or a component is done: start the next
+            start = root if p == 0 else position.index(-1)
+            position[start] = p
+            order.append(start)
+        for u in neighbours[order[p]]:
+            if position[u] < 0:
+                position[u] = len(order)
+                parent[u] = order[p]
+                order.append(u)
+    # completes[p]: the other two vertices of each triangle that the vertex
+    # at position p completes.
+    completes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for t in tris:
+        *others, last = sorted(t, key=position.__getitem__)
+        completes[position[last]].append(tuple(others))
+
+    used = [False] * n
+    # pending[p]: the images the vertex at position p has not tried yet.
+    pending = [iter(range(n))] + [iter(())] * (n - 1)
+    depth = 0
+    while depth >= 0:
+        v = order[depth]
+        for w in pending[depth]:
+            if used[w] or degree2[w] != degree[v]:
+                continue
+            for a, b in completes[depth]:
+                if frozenset((w, image[a], image[b])) not in triangles2:
+                    break
+            else:
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                used[image[order[depth]]] = False
+            continue
+        image[v] = w
+        if depth == n - 1:
+            if (yield root) is not None:
+                # Free the images of positions 0..n-2 and try the root's next.
+                used = [False] * n
+                depth = 0
+            continue
+        used[w] = True
+        depth += 1
+        u = parent[order[depth]]
+        pending[depth] = iter(range(n) if u < 0 else neighbours2[image[u]])

@@ -125,14 +125,14 @@ class CycleRealization:
         n = len(tris)
         if n < 3:
             raise PatternError(f"an n-cycle realization needs n >= 3, got {n}")
-        target = ncycle_matrix(n)
+        # The pattern's entry: 1 for cyclically adjacent indices, else 0.
         for i in range(n):
             for j in range(i + 1, n):
-                got = intersection_dim(tris[i], tris[j])
-                if got != target[i, j]:
+                got, want = intersection_dim(tris[i], tris[j]), int(j - i in (1, n - 1))
+                if got != want:
                     raise PatternError(
                         f"triangles {i} and {j} intersect in dimension {got}, "
-                        f"the {n}-cycle pattern requires {target[i, j]}"
+                        f"the {n}-cycle pattern requires {want}"
                     )
 
 

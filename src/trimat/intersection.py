@@ -19,13 +19,16 @@ image is a star.  A map that extends is induced by a vertex bijection and
 so preserves every entry: the extension certifies preservation, and only a
 map that does not extend is checked, by ``is_intersection_preserving``:
 K's matrix renumbered through the map (``permuted``) must equal K2's.
+``_extend``, the construction without validation, serves callers that
+validate each complex once, not once per map: the corpus checks
+(``verification``) extend the kernel's maps, criterion 7 until one
+extends and the extension counts to the end, but only on a surface where
+a generator of its group of self-maps does not extend.
+
 ``isomorphic`` decides whether two surfaces are simplicially isomorphic
-by walking the preserving bijections lazily until one extends.  That
-walk, ``_extensions``, leaves validation to its callers, which validate
-each complex once, not once per map.  The corpus checks
-(``verification``) read it too: criterion 7 until a map extends, and the
-extension counts to the end, but only on a surface where a generator of
-its group of self-maps does not extend.
+on the vertex side, by the walk ``complexes._vertex_walk``: a simplicial
+isomorphism is a vertex bijection, so it searches no triangle map and
+builds no matrix.
 
 The ``.imat`` text format: first line n, then n lines of n space-separated
 integers in {-1, 0, 1, 2}.  A bijection serializes as a single line of n
@@ -42,7 +45,7 @@ from typing import Iterator
 
 from . import _search
 from ._search import iter_bijections
-from .complexes import Triangle, Triangulation, _require_closed_surface
+from .complexes import Triangle, Triangulation, _require_closed_surface, _vertex_walk
 from .errors import MappingError, ParseError
 
 __all__ = [
@@ -340,31 +343,16 @@ def extend_to_simplicial(
 def isomorphic(K: Triangulation, K2: Triangulation) -> bool:
     """Whether two connected closed surfaces are simplicially isomorphic.
 
-    Every simplicial isomorphism induces an intersection-preserving
-    triangle bijection, so it is enough to find one preserving bijection
-    that extends.  They are walked lazily in the kernel's search order and
-    the walk stops at the first that extends; each complex is validated
-    once.
+    A simplicial isomorphism is a vertex bijection, so the answer is
+    whether the vertex walk ``complexes._vertex_walk`` yields a map; it
+    stops at the first.  No intersection matrix is built.  Each complex is
+    validated once.
 
     Raises SurfaceError if either complex is not a connected closed surface.
     """
     _require_closed_surface(K, "the first complex")
     _require_closed_surface(K2, "the second complex")
-    return any(isinstance(r, Extended) for r in _extensions(K, K2))
-
-
-def _extensions(K: Triangulation, K2: Triangulation) -> Iterator[ExtensionResult]:
-    """The extension ``_extend`` of every preserving bijection from K to
-    K2, lazily in the search order of ``_search.iter_bijections``, which
-    yields each map as soon as it is found or composed.
-
-    Both complexes must be connected closed surfaces; the caller validates
-    them, once, instead of once per map as ``extend_to_simplicial`` does.
-    The kernel yields only preserving maps, so they are not re-checked
-    either.
-    """
-    for image in iter_bijections(intersection_matrix(K), intersection_matrix(K2)):
-        yield _extend(K, K2, image)
+    return next(_vertex_walk(K, K2, [0] * len(K.vertices())), None) is not None
 
 
 def _extend(K: Triangulation, K2: Triangulation, image: tuple[int, ...]) -> ExtensionResult:

@@ -7,15 +7,24 @@ acceptance test module both run exactly these; they are written here once
 so the two entry points cannot drift apart.
 
 Counting simplicial automorphisms directly (``simplicial_automorphisms``)
-is deliberately independent of the matrix machinery: it searches vertex
-bijections, not triangle bijections, and calls nothing in
-``intersection``, ``_search`` or ``reconstruct``, so the extension-count
-check compares two routes that share no code.  Both searches propagate:
-the matrix route along the dual graph, the vertex route along the
-1-skeleton, where each vertex's BFS parent confines its image to the
-neighbours of the parent's image.  Both take their groups by cosets of a
-stabiliser instead of searching every map (Sims, 1970): the matrix route
-through ``_search._automorphism_group``, the vertex route by itself.
+is deliberately independent of the matrix machinery: it drives the vertex
+walk of ``complexes._vertex_walk``, which searches vertex bijections, not
+triangle bijections, and calls nothing in ``intersection``, ``_search``
+or ``reconstruct``, so the extension-count check compares two routes that
+share no code.  Both searches propagate: the matrix route along the dual
+graph, the vertex route along the 1-skeleton, where each vertex's BFS
+parent confines its image to the neighbours of the parent's image.  Both
+take their groups by cosets of a stabiliser instead of searching every
+map (Sims, 1970): the matrix route through
+``_search._automorphism_group``, the vertex route in
+``simplicial_automorphisms``.
+
+Criterion 3's isomorphism check (``intersection.isomorphic``) runs on the
+vertex walk too.  Criterion 7 stays on the matrix route: it extends the
+kernel's preserving maps from each reconstruction to its baseline until
+one extends.  Each of its 100 trials meets a fresh reconstruction, for
+which the walk would build its vertex tables again; measured, that made a
+``verify-corpus`` pass slower.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from . import catalog
 from .complexes import (
     Triangulation,
     _require_closed_surface,
+    _vertex_walk,
     euler_characteristic,
     orientability,
     validate_closed_surface,
@@ -40,13 +50,12 @@ from .cycles import (
     enumerate_realizations,
     expected_classes,
 )
-from ._search import _automorphism_group
+from ._search import _automorphism_group, iter_bijections
 from .errors import PatternError, TrichotomyError
 from .intersection import (
     Extended,
     TriangleBijection,
     _extend,
-    _extensions,
     intersection_matrix,
     isomorphic,
 )
@@ -87,103 +96,33 @@ def simplicial_automorphisms(K: Triangulation) -> list[dict[str, str]]:
     """All vertex bijections mapping the triangle set onto itself, each
     keyed in ``K.vertices()`` order, sorted by image sequence.
 
-    A propagated search over the 1-skeleton.  Such a bijection maps edges
-    onto edges, so vertices are placed in BFS order over the edge graph
-    (from the lowest vertex; each further component from its lowest
-    vertex not yet reached).  A root tries every vertex of its degree; any
-    other vertex may take only an unused vertex of its degree adjacent to
-    the image of its BFS parent.  Once a vertex is placed, each triangle
-    it completes must land on a triangle, and nothing else is checked:
-    every triangle is checked when its last vertex is placed, so a
-    complete map sends the triangles injectively, hence onto, and each
-    edge, a side of some triangle, onto an edge.  No map is missed, since
-    an automorphism puts each vertex next to its parent's image.
-
-    Only the maps that fix vertex 0, the first root, are searched in full:
-    they form Stab(v0), and root image 0 is tried first.  For any other
-    root image w the search stops at the first map h, since the maps that
-    send vertex 0 to w are exactly h o Stab(v0) (if g does, h^-1 o g fixes
-    vertex 0).  A root image that no map reaches is searched to exhaustion.
-    The search keeps its own stack and never looks at intersection
-    matrices.
+    They are the maps ``complexes._vertex_walk`` yields from K onto K, but
+    only the maps that fix the walk's root v are searched in full: they
+    form Stab(v), and the root tries itself first.  For any other root
+    image w the walk stops at the first map h, since the maps that send v
+    to w are exactly h o Stab(v) (if g does, h^-1 o g fixes v).  A root
+    image that no map reaches is searched to exhaustion.
     """
     verts = K.vertices()
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    adjacent: list[set[int]] = [set() for _ in range(n)]
-    for edge in K.edges():
-        a, b = (index[v] for v in edge)
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    neighbours = [tuple(sorted(s)) for s in adjacent]
-    degree = [K.degree(v) for v in verts]
-    triangle_sets = {frozenset(index[v] for v in t.vertices) for t in K.triangles}
-
-    order: list[int] = []
-    parent = [-1] * n  # each vertex's BFS parent; -1 for a root
-    position = [-1] * n
-    for root in range(n):
-        if position[root] >= 0:
-            continue
-        position[root] = len(order)
-        order.append(root)
-        head = len(order) - 1
-        while head < len(order):
-            for u in neighbours[order[head]]:
-                if position[u] < 0:
-                    position[u] = len(order)
-                    parent[u] = order[head]
-                    order.append(u)
-            head += 1
-    # completes[p]: the other two vertices of each triangle that the vertex
-    # at position p completes.
-    completes = []
-    for p, v in enumerate(order):
-        others = [
-            tuple(index[u] for u in K.triangles[i].vertices if u != verts[v])
-            for i in K.triangles_at(verts[v])
-        ]
-        completes.append([(a, b) for a, b in others if position[a] < p and position[b] < p])
-
-    # stab: the maps that fix vertex 0, the root placed first.
+    image = [0] * len(verts)
+    walk = _vertex_walk(K, K, image)
     stab: list[tuple[int, ...]] = []
     found: list[tuple[int, ...]] = []
-    image = [0] * n
-    used = [False] * n
-    # pending[p]: the images the vertex at position p has not tried yet.
-    pending = [iter(())] * n
-    pending[0] = iter(range(n))
-    depth = 0
-    while depth >= 0:
-        v = order[depth]
-        for w in pending[depth]:
-            if used[w] or degree[w] != degree[v]:
-                continue
-            if all(frozenset((w, image[a], image[b])) in triangle_sets for a, b in completes[depth]):
-                break
+    back = None
+    while True:
+        try:
+            root = walk.send(back)
+        except StopIteration:
+            break
+        back = None
+        if image[root] == root:
+            stab.append(tuple(image))
         else:
-            depth -= 1
-            if depth >= 0:
-                used[image[order[depth]]] = False
-            continue
-        image[v] = w
-        if depth + 1 == n:
-            if image[0] == 0:
-                stab.append(tuple(image))
-                continue
-            # The first map h that sends vertex 0 to w: the maps that do
-            # are h o Stab, itemgetter(*s)(image) for s in Stab (a complex
-            # has at least 3 vertices, so the getter returns a tuple).
-            # Skip the rest of the subtree.
+            # The maps h o s for s in Stab, itemgetter(*s)(image) (a
+            # complex has at least 3 vertices, so the getter returns a
+            # tuple); then the rest of the subtree is skipped.
             found += [itemgetter(*s)(image) for s in stab]
-            for p in range(depth):
-                used[image[order[p]]] = False
-            depth = 0
-            continue
-        used[w] = True
-        depth += 1
-        u = parent[order[depth]]
-        pending[depth] = iter(range(n) if u < 0 else neighbours[image[u]])
+            back = True
     found += stab
     found.sort()
     return [{verts[i]: verts[j] for i, j in enumerate(f)} for f in found]
@@ -277,15 +216,16 @@ def _count_extendable(K: Triangulation) -> tuple[int, int]:
     f and g are induced by vertex bijections, f o g and f^-1 are induced
     by their composite and inverse.  So if every map of Stab and every
     generator of ``_search._automorphism_group`` extends, all of Aut(M)
-    does, and both counts are its order.  Otherwise the answer comes from
-    the walk ``isomorphic`` takes, ``_extensions``, read to the end; by
-    the paper's theorem that happens only on tp10 and tp12.
+    does, and both counts are its order.  Otherwise every preserving
+    self-map is extended; by the paper's theorem that happens only on tp10
+    and tp12.
     """
     _require_closed_surface(K, "the complex")
-    stab, generators, order = _automorphism_group(intersection_matrix(K))
+    M = intersection_matrix(K)
+    stab, generators, order = _automorphism_group(M)
     if all(isinstance(_extend(K, K, g), Extended) for g in stab + generators):
         return order, order
-    results = list(_extensions(K, K))
+    results = [_extend(K, K, g) for g in iter_bijections(M, M)]
     return len(results), sum(isinstance(r, Extended) for r in results)
 
 
@@ -371,9 +311,11 @@ def _check_matrix_invariants() -> tuple[bool, str]:
                 f"{name} permuted (trial {trial}): ambiguity {result.ambiguity} "
                 f"!= {baseline[name].ambiguity}"
             )
-        # Both complexes come out of reconstruct, which validated them.
-        extensions = _extensions(result.complex, baseline[name].complex)
-        if not any(isinstance(r, Extended) for r in extensions):
+        # Both complexes come out of reconstruct, which validated them, so
+        # each preserving map goes to _extend with no further check.
+        rebuilt, base = result.complex, baseline[name].complex
+        maps = iter_bijections(intersection_matrix(rebuilt), intersection_matrix(base))
+        if not any(isinstance(_extend(rebuilt, base, g), Extended) for g in maps):
             return False, (
                 f"{name} permuted (trial {trial}): reconstruction not isomorphic "
                 "to the unpermuted one"

@@ -1,9 +1,11 @@
 """Inputs the test modules share: subdivided surfaces, seeded reindexings
 and relabellings, random complexes and matrices, the 6-regular tori, and
-the intersection matrix by its definition.  No test module imports
-another; each takes these from here."""
+the intersection matrix by its definition; and ``rebind``, which swaps a
+library function everywhere it is bound.  No test module imports another;
+each takes these from here."""
 
 import random
+import sys
 from itertools import combinations
 
 from trimat import IntersectionMatrix, Triangle, TriangleBijection, Triangulation, standard
@@ -77,3 +79,13 @@ TORI = [((a, a), 6) for a in range(3, 9)] + [((3, 4), 1), ((3, 5), 1), ((4, 6), 
 def matrix_by_definition(K):
     """The pairwise intersection dimensions, one triangle pair at a time."""
     return tuple(tuple(intersection_dim(s, t) for t in K.triangles) for s in K.triangles)
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace every binding of ``original`` in the library's modules, since
+    each module calls the one in its own namespace."""
+    for name, module in list(sys.modules.items()):
+        if name == "trimat" or name.startswith("trimat."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)

@@ -28,6 +28,8 @@ from trimat import cycles
 from trimat.complexes import _oriented_consistently
 from trimat.cycles import _canonical_encoding
 
+from inputs import subdivided
+
 # The oracle's realization counts up to dihedral symmetry and relabeling.
 EXPECTED_COUNTS = {3: 2, 4: 1, 5: 2, 6: 2, 7: 1, 8: 1}
 
@@ -87,6 +89,21 @@ class TestClassifier:
         tris = [Triangle("abc"), Triangle("abd"), Triangle("cde"), Triangle("aef")]
         with pytest.raises(PatternError):
             classify_realization(tris)
+
+    def test_builds_no_pattern_matrix(self, monkeypatch):
+        # Each pair's required entry is worked out where it is compared, so
+        # a sequence is rejected, or accepted, without building the n x n
+        # pattern first.
+        def gone(n):
+            raise AssertionError("the realization check built the pattern matrix")
+
+        monkeypatch.setattr(cycles, "ncycle_matrix", gone)
+        tris = subdivided("icosahedron", 1).triangles
+        assert len(tris) == 80
+        message = "triangles 0 and 1 intersect in dimension 0, the 80-cycle pattern requires 1"
+        with pytest.raises(PatternError, match=f"^{message}$"):
+            classify_realization(tris)
+        assert classify_realization(disk_fan(8).triangles) == disk(8)
 
     def test_rejects_too_short(self):
         with pytest.raises(PatternError):

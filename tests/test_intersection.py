@@ -30,9 +30,10 @@ from trimat import (
     serialize_matrix,
     standard,
 )
+from trimat.catalog import _grid_torus
 from trimat.verification import simplicial_automorphisms
 
-from inputs import matrix_by_definition, reindexed_relabelled, subdivide
+from inputs import matrix_by_definition, rebind, reindexed_relabelled, subdivide
 
 # The swap self-map of tp10 exchanging the fan 5-cycle around x with the
 # band 5-cycle of the r-triangles: g(s_i) = r_(2i mod 5), g(r_i) = s_(2i mod 5).
@@ -488,6 +489,35 @@ class TestIsomorphic:
         fan = disk_fan(5)
         with pytest.raises(SurfaceError):
             isomorphic(fan, fan)
+
+    def test_reads_no_matrix(self, corpus, monkeypatch):
+        # A simplicial isomorphism is a vertex bijection: the answers must
+        # come with the triangle-map searches and the matrix gone.
+        from trimat import _search, intersection
+
+        def gone(*args, **kwargs):
+            raise AssertionError("isomorphic used the matrix route")
+
+        for original in (
+            _search._walk,
+            _search.iter_bijections,
+            intersection.intersection_matrix,
+        ):
+            rebind(monkeypatch, original, gone)
+        for seed, (name, K) in enumerate(corpus):
+            assert isomorphic(K, reindexed_relabelled(K, seed)), name
+            assert isomorphic(reindexed_relabelled(K, seed + 10), K), name
+        assert not isomorphic(_grid_torus(6, 6), reindexed_relabelled(_grid_torus(4, 9), 1))
+
+    def test_six_regular_look_alikes(self):
+        # Four 6-regular tori on 72 triangles, alike around every vertex;
+        # T(4, 9) and T(9, 4) are one surface, transposed.
+        tori = {size: _grid_torus(*size) for size in [(6, 6), (4, 9), (3, 12), (9, 4)]}
+        for s, K in tori.items():
+            for t, K2 in tori.items():
+                want = s == t or {s, t} == {(4, 9), (9, 4)}
+                assert isomorphic(K, K2) is want, (s, t)
+        assert isomorphic(tori[(6, 6)], reindexed_relabelled(tori[(6, 6)], 3))
 
 
 class TestTextFormats:

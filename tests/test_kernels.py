@@ -17,7 +17,7 @@ from trimat import (
 )
 from trimat._search import _in_order, _near, _plan, iter_bijections
 from trimat.catalog import CLOSED_SURFACES, _grid_torus
-from trimat.intersection import _extensions
+from trimat.intersection import _extend
 from trimat.verification import simplicial_automorphisms
 
 from inputs import TORI, random_matrix, reindexed, reindexed_relabelled
@@ -185,7 +185,7 @@ class TestOrbits:
             assert all([m2[g[i]][x] for x in g] == list(m1[i]) for i in range(n))
         assert sorted_by_group(raw, _in_order(M._plan[0])) == found(M, M2)
         if n <= 72:
-            extended = sum(isinstance(e, Extended) for e in _extensions(K, K2))
+            extended = sum(isinstance(_extend(K, K2, g), Extended) for g in raw)
             assert extended == len(simplicial_automorphisms(K))
 
     @pytest.mark.parametrize("a", range(4, 9))

@@ -5,17 +5,17 @@ the count of extendable self-maps, taken from generators of the group,
 must be the count a walk over every preserving self-map gives."""
 
 import random
-import sys
 from itertools import permutations
 
 import pytest
 
-from trimat import Extended, Triangle, Triangulation, catalog
+from trimat import Extended, Triangle, Triangulation, catalog, intersection_matrix
+from trimat._search import iter_bijections
 from trimat.catalog import _grid_torus
-from trimat.intersection import _extensions
+from trimat.intersection import _extend
 from trimat.verification import _count_extendable, simplicial_automorphisms
 
-from inputs import TORI, random_complex, reindexed_relabelled, subdivided
+from inputs import TORI, random_complex, rebind, reindexed_relabelled, subdivided
 
 
 def reference_automorphisms(K):
@@ -117,16 +117,6 @@ class TestSimplicialAutomorphisms:
                 assert simplicial_automorphisms(K) == expected
 
 
-def rebind(monkeypatch, original, replacement):
-    """Replace every binding of ``original`` in the library's modules, since
-    each module calls the one in its own namespace."""
-    for name, module in list(sys.modules.items()):
-        if name == "trimat" or name.startswith("trimat."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
 def extendable_inputs():
     """(label, K): the corpus, its one-fold subdivisions and the tori of
     ``TORI``, each with two reindexed, relabelled copies."""
@@ -150,7 +140,8 @@ class TestCountExtendable:
     @pytest.mark.parametrize("label", list(EXTENDABLE_INPUTS))
     def test_is_the_full_walk(self, label):
         K = EXTENDABLE_INPUTS[label]
-        results = list(_extensions(K, K))
+        M = intersection_matrix(K)
+        results = [_extend(K, K, g) for g in iter_bijections(M, M)]
         expected = (len(results), sum(isinstance(r, Extended) for r in results))
         assert _count_extendable(K) == expected
 
