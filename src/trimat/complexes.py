@@ -23,8 +23,9 @@ Since a triangulation never changes, the facts derived from it are worked
 out once per complex, on first use, and kept on the instance: the edge
 index (from each edge to the triangles on it), the ``SurfaceReport`` of
 ``validate_closed_surface``, the intersection matrix
-(``intersection.intersection_matrix``) and the index from vertex stars to
-vertices that ``intersection.extend_to_simplicial`` reads.
+(``intersection.intersection_matrix``), the index from vertex stars to
+vertices that ``intersection.extend_to_simplicial`` reads, and the plan of
+the vertex walk from the complex (``_walk_plan``).
 
 Validation walks the links before it looks at edges.  When every link is
 one cycle, each edge {v, u} lies in exactly the two triangles of v's star
@@ -35,7 +36,7 @@ some link fails, or when ``edges``, ``triangles_on``, ``boundary_edges``,
 A simplicial isomorphism is a vertex bijection that maps the triangles
 onto the triangles.  ``_vertex_walk`` yields each one from one complex
 onto another, by a search along the 1-skeleton; it decides
-``intersection.isomorphic`` and lists
+``intersection.isomorphic`` and criterion 7's trials and lists
 ``verification.simplicial_automorphisms``, and reads no intersection
 matrix.
 """
@@ -136,6 +137,7 @@ class Triangulation:
         "_report",
         "_matrix",
         "_vertex_of_star",
+        "_walk_plan",
     )
 
     def __init__(self, triangles: Iterable[Triangle]):
@@ -160,11 +162,13 @@ class Triangulation:
         self._vertices = tuple(sorted(vertex_map))
         # Derived facts, each set on first use by the function that works
         # it out: _edge_index, validate_closed_surface,
-        # intersection.intersection_matrix and intersection._extend.
+        # intersection.intersection_matrix, intersection._extend and
+        # _vertex_walk.
         self._edge_map: dict[frozenset[str], tuple[int, ...]] | None = None
         self._report: SurfaceReport | None = None
         self._matrix: IntersectionMatrix | None = None
         self._vertex_of_star: dict[frozenset[int], str] | None = None
+        self._walk_plan: tuple | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -454,18 +458,46 @@ def vertex_star(K: Triangulation, v: str) -> tuple[int, ...]:
 # -- simplicial maps ----------------------------------------------------------
 
 
-def _skeleton(K: Triangulation) -> tuple[list[tuple[int, ...]], list[list[int]], list[int]]:
-    """K on the indices of ``K.vertices()``: its triangles, in index order;
-    each vertex's closed neighbourhood in the 1-skeleton (the vertex and
-    its neighbours), ascending; and each vertex's degree, the number of
+def _skeleton(K: Triangulation) -> tuple[set[frozenset[int]], list[list[int]], list[int]]:
+    """K on the indices of ``K.vertices()``: the set of its triangles; each
+    vertex's closed neighbourhood in the 1-skeleton (the vertex and its
+    neighbours), ascending; and each vertex's degree, the number of
     triangles that hold it."""
     index = {v: i for i, v in enumerate(K.vertices())}
-    tris = [tuple(index[v] for v in t.vertices) for t in K.triangles]
-    adjacent: list[set[int]] = [set() for _ in index]
-    for t in tris:
-        for x in t:
-            adjacent[x].update(t)
-    return tris, [sorted(s) for s in adjacent], [len(K.triangles_at(v)) for v in index]
+    triangles = [tuple(map(index.__getitem__, t.vertices)) for t in K.triangles]
+    stars = [K.triangles_at(v) for v in index]
+    neighbours = [sorted({x for i in star for x in triangles[i]}) for star in stars]
+    return set(map(frozenset, triangles)), neighbours, list(map(len, stars))
+
+
+def _walk_plan(K: Triangulation) -> tuple:
+    """The plan of ``_vertex_walk`` from K: its ``_skeleton``; the BFS order
+    of its vertices over the 1-skeleton, from the lowest vertex of the
+    rarest degree, each further component from its lowest vertex not yet
+    reached; each vertex's BFS parent, -1 for a root; and, for each
+    position of the order, the other two vertices of each triangle that
+    the vertex there completes."""
+    triangles, neighbours, degree = skeleton = _skeleton(K)
+    n = len(degree)
+    count = Counter(degree)
+    root = min(range(n), key=lambda v: (count[degree[v]], v))
+    # position[v]: v's place in the order.
+    order, parent, position = [], [-1] * n, [-1] * n
+    for p in range(n):
+        if p == len(order):  # the root, or a component is done: start the next
+            start = root if p == 0 else position.index(-1)
+            position[start] = p
+            order.append(start)
+        for u in neighbours[order[p]]:
+            if position[u] < 0:
+                position[u] = len(order)
+                parent[u] = order[p]
+                order.append(u)
+    completes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for t in triangles:
+        *others, last = sorted(t, key=position.__getitem__)
+        completes[position[last]].append(tuple(others))
+    return skeleton, order, parent, completes
 
 
 def _vertex_walk(
@@ -481,46 +513,27 @@ def _vertex_walk(
     the vertex or triangle counts differ.
 
     A simplicial map sends edges onto edges, so K's vertices are placed in
-    BFS order over the 1-skeleton.  The root is the lowest vertex of the
-    rarest degree, and each further component starts at its lowest vertex
-    not yet reached.  A root tries the vertices of K2 of its degree in
-    ascending order, so when K2 is K its first image is itself; any other
-    vertex takes only an unused vertex of its degree next to the image of
-    its BFS parent.  Once a vertex is placed, each triangle it completes
-    must land on a triangle, and nothing else is checked: every triangle
-    is checked when its last vertex is placed, so a complete map sends the
-    triangles injectively, and, the counts being equal, onto.  No map is
-    missed, since a simplicial map puts each vertex next to its parent's
-    image.  The walk keeps its own stack, so its depth is not bounded by
-    the interpreter's recursion limit.
+    BFS order over the 1-skeleton, from the root of ``_walk_plan``.  A root
+    tries the vertices of K2 of its degree in ascending order, so when K2
+    is K its first image is itself; any other vertex takes only an unused
+    vertex of its degree next to the image of its BFS parent.  Once a
+    vertex is placed, each triangle it completes must land on a triangle,
+    and nothing else is checked: every triangle is checked when its last
+    vertex is placed, so a complete map sends the triangles injectively,
+    and, the counts being equal, onto.  No map is missed, since a
+    simplicial map puts each vertex next to its parent's image.  The walk
+    keeps its own stack, so its depth is not bounded by the interpreter's
+    recursion limit.  K's plan is worked out on the first walk from K and
+    kept on it; K2's skeleton is built on each walk, unless K2 is K.
     """
     n = len(K.vertices())
     if n != len(K2.vertices()) or K.n != K2.n:
         return
-    tris, neighbours, degree = _skeleton(K)
-    tris2, neighbours2, degree2 = (tris, neighbours, degree) if K2 is K else _skeleton(K2)
-    triangles2 = set(map(frozenset, tris2))
-    count = Counter(degree)
-    root = min(range(n), key=lambda v: (count[degree[v]], v))
-    # order: the BFS order; parent[v]: v's BFS parent, -1 for a root;
-    # position[v]: v's place in the order.
-    order, parent, position = [], [-1] * n, [-1] * n
-    for p in range(n):
-        if p == len(order):  # the root, or a component is done: start the next
-            start = root if p == 0 else position.index(-1)
-            position[start] = p
-            order.append(start)
-        for u in neighbours[order[p]]:
-            if position[u] < 0:
-                position[u] = len(order)
-                parent[u] = order[p]
-                order.append(u)
-    # completes[p]: the other two vertices of each triangle that the vertex
-    # at position p completes.
-    completes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for t in tris:
-        *others, last = sorted(t, key=position.__getitem__)
-        completes[position[last]].append(tuple(others))
+    if K._walk_plan is None:
+        K._walk_plan = _walk_plan(K)
+    skeleton, order, parent, completes = K._walk_plan
+    triangles2, neighbours2, degree2 = skeleton if K2 is K else _skeleton(K2)
+    degree, root = skeleton[2], order[0]
 
     used = [False] * n
     # pending[p]: the images the vertex at position p has not tried yet.

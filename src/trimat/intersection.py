@@ -20,10 +20,10 @@ so preserves every entry: the extension certifies preservation, and only a
 map that does not extend is checked, by ``is_intersection_preserving``:
 K's matrix renumbered through the map (``permuted``) must equal K2's.
 ``_extend``, the construction without validation, serves callers that
-validate each complex once, not once per map: the corpus checks
-(``verification``) extend the kernel's maps, criterion 7 until one
-extends and the extension counts to the end, but only on a surface where
-a generator of its group of self-maps does not extend.
+validate each complex once, not once per map: the extension counts of
+the corpus checks (``verification``) extend the generators of a
+surface's group of self-maps, and every preserving self-map only on a
+surface where a generator does not extend.
 
 ``isomorphic`` decides whether two surfaces are simplicially isomorphic
 on the vertex side, by the walk ``complexes._vertex_walk``: a simplicial

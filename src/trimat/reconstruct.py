@@ -93,9 +93,7 @@ def _build(tri: tuple[tuple[int, int, int], ...], M: IntersectionMatrix) -> Tria
     appearance by triangle index, or None unless it is a closed surface
     whose matrix is M.  The placement's triples hold three distinct
     vertices, so its triangles skip the label checks.  The complex's own
-    matrix is computed from its triangles; once it is shown equal to M, it
-    takes M's search view and plan (see ``IntersectionMatrix``) instead of
-    working them out again."""
+    matrix is computed from its triangles and kept on it."""
     label: dict[int, str] = {}
     triangles = []
     for t in tri:
@@ -106,11 +104,8 @@ def _build(tri: tuple[tuple[int, int, int], ...], M: IntersectionMatrix) -> Tria
     K = Triangulation(triangles)
     if not validate_closed_surface(K).is_closed_surface:
         return None
-    own = intersection_matrix(K)
-    if own.entries != M.entries:
+    if intersection_matrix(K).entries != M.entries:
         return None
-    # A cached property is read from the instance dict once it is there.
-    own.__dict__.update(_view=M._view, _plan=M._plan)
     return K
 
 

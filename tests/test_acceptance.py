@@ -34,7 +34,7 @@ from trimat.intersection import TriangleBijection, intersection_matrix
 from trimat.reconstruct import reconstruct
 from trimat.verification import CHECKS, TIME_BUDGETS, run_check
 
-from inputs import rebind
+from inputs import rebind, reindexed_relabelled
 
 
 @pytest.mark.parametrize(
@@ -145,8 +145,8 @@ FAILURES = [
     ),
     (
         7,
-        "iter_bijections",
-        lambda M1, M2: iter(()),
+        "_vertex_walk",
+        lambda K, K2, image: iter(()),
         "tetrahedron permuted (trial 0): reconstruction not isomorphic",
     ),
     # A reindexing that is not a bijection gives the trial a bad row.
@@ -188,6 +188,39 @@ def test_criterion_reports_its_failure(monkeypatch, criterion, name, stand_in, d
     assert result.passed is False
     assert result.detail.startswith(detail), result.detail
     assert " FAIL " in result.line()
+
+
+def test_criterion3_recomputes_the_answers_matrix(monkeypatch):
+    # reconstruct keeps on its answer the matrix it compared with M; the
+    # round trip must work the answer's matrix out again.  A reindexed
+    # copy of the true answer that claims M as its matrix must fail.  The
+    # tetrahedron's matrix is the same under every reindexing, so the
+    # octahedron is the first to fail.
+    from trimat import verification
+
+    def misreported(M):
+        result = reconstruct(M)
+        K = reindexed_relabelled(result.complex, 0)
+        K._matrix = M
+        return dataclasses.replace(result, complex=K)
+
+    monkeypatch.setattr(verification, "reconstruct", misreported)
+    result = run_check(3)
+    assert result.passed is False
+    assert result.detail == "octahedron: reconstruction does not reproduce the matrix"
+
+
+def test_criterion7_extends_no_preserving_map(monkeypatch):
+    # Criterion 7 decides isomorphism on the vertex walk: it extends no
+    # triangle map and runs no bijection search of its own.
+    from trimat import intersection, verification
+
+    rebind(monkeypatch, intersection._extend, raising(AssertionError("_extend called")))
+    monkeypatch.setattr(
+        verification, "iter_bijections", raising(AssertionError("iter_bijections called"))
+    )
+    result = run_check(7)
+    assert result.passed, result.detail
 
 
 def test_unknown_criterion_raises():

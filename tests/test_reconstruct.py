@@ -133,8 +133,9 @@ class TestReconstruct:
             plans.clear()
             reconstruct(M)
             assert calls == [M], name
-            # One view and one plan of M serve the bijection kernel, the
-            # growth search and the isomorphism checks between solutions.
+            # One view and one plan of M serve the bijection kernel and the
+            # growth search; the isomorphism checks between solutions run
+            # on the vertex walk and read no matrix.
             assert len(views) == 1 and views[0] is M.entries, name
             assert len(plans) == 1 and plans[0] is M._view, name
             views.clear()

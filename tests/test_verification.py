@@ -2,18 +2,19 @@
 find exactly the vertex bijections that map the triangle set onto itself,
 in the order of their image sequences, without the matrix machinery; and
 the count of extendable self-maps, taken from generators of the group,
-must be the count a walk over every preserving self-map gives."""
+must be the count a walk over every preserving self-map gives.  The vertex
+walk works out its plan from a complex once and keeps it there."""
 
 import random
 from itertools import permutations
 
 import pytest
 
-from trimat import Extended, Triangle, Triangulation, catalog, intersection_matrix
+from trimat import Extended, Triangle, Triangulation, catalog, intersection_matrix, isomorphic
 from trimat._search import iter_bijections
 from trimat.catalog import _grid_torus
 from trimat.intersection import _extend
-from trimat.verification import _count_extendable, simplicial_automorphisms
+from trimat.verification import _count_extendable, run_all_checks, simplicial_automorphisms
 
 from inputs import TORI, random_complex, rebind, reindexed_relabelled, subdivided
 
@@ -159,3 +160,36 @@ class TestCountExtendable:
     @pytest.mark.parametrize("name,counts", [("tp10", (120, 60)), ("tp12", (48, 24))])
     def test_exceptional_planes_walk_every_map(self, name, counts):
         assert _count_extendable(catalog.standard(name)) == counts
+
+
+class TestWalkPlan:
+    """``complexes._vertex_walk`` keeps the plan it works out from K on K."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The complexes that a walk plan is built for from now on."""
+        from trimat import complexes
+
+        real = complexes._walk_plan
+        built = []
+        rebind(monkeypatch, real, lambda K: built.append(K) or real(K))
+        return built
+
+    def test_a_second_walk_builds_no_plan(self, builds):
+        K = subdivided("icosahedron", 1)
+        K2 = reindexed_relabelled(K, 3)
+        expected = simplicial_automorphisms(K)
+        assert simplicial_automorphisms(K) == expected
+        assert len(builds) == 1 and builds[0] is K
+        assert isomorphic(K2, K) and isomorphic(K2, K) and isomorphic(K, K2)
+        assert len(builds) == 2 and builds[1] is K2
+
+    def test_a_warm_checklist_builds_no_plan_for_a_catalog_complex(self, builds):
+        assert all(result.passed for result in run_all_checks())
+        builds.clear()
+        assert all(result.passed for result in run_all_checks())
+        # Criterion 7 walks from each surface's baseline reconstruction,
+        # which is made afresh on every pass.
+        assert builds
+        standard = [catalog.standard(name) for name in catalog.CLOSED_SURFACES]
+        assert not any(K is S for K in builds for S in standard)
