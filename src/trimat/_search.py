@@ -54,6 +54,8 @@ group is h o Stab for any map h in it, where Stab = {g0^-1 o g : g in the
 first group} and g0 is the first map found, and this holds for any pair
 of valid matrices.  Maps are tuples of images, composed as
 ``IntersectionMatrix.permuted`` composes: g o a is itemgetter(*a)(g).
+Stab is kept as its getters, itemgetter(*a) for each a, built once when
+the first group ends, so each composed map costs one getter call.
 
 Most later groups need no search for h either (the orbit idea of McKay,
 1981).  A group whose maps send rows 0..k-1 to P has the prefix Q =
@@ -66,10 +68,12 @@ it looks for an s in autos that carries a visited Q' onto Q, that is,
 whose inverse carries Q onto a key of seen: the lookup goes one way only.
 If s does, s o seen[Q'] is an automorphism with prefix Q, and the group
 is g0 o s o seen[Q'] o Stab: it is yielded with no search, and Q joins
-seen.  Otherwise the group is searched.  At its first map h the
-kernel yields h o Stab, records g0^-1 o h in seen and autos, frees the
-images at positions k-1..n-2 and resumes at position k-1, so the rest of
-that subtree is never searched.  A first group of one map composes too,
+seen.  Both compositions read through itemgetter(*seen[Q']), built at
+the first lookup that finds Q' and kept, and g0 o s is the map h that s
+was recorded from.  Otherwise the group is searched.  At its first map
+h the kernel yields h o Stab, records g0^-1 o h in seen and autos, frees
+the images at positions k-1..n-2 and resumes at position k-1, so the
+rest of that subtree is never searched.  A first group of one map composes too,
 with Stab = {identity}, unless k == n: then a group is one complete map,
 the walk never stops at a prefix, and nothing is built, looked up,
 composed or recorded.
@@ -86,10 +90,12 @@ of autos per group searched.  Looking up s(Q) as well, through s^-1,
 composes a few more groups but costs about as many prefix images as it
 saves.  So a caller that stops early (``limit`` or
 ``detect_exceptional``) leaves every group after the last one it reads
-unvisited.  Stab and the table's identity
-entry are built when the first group ends, at the next group's prefix,
-and the rest of the table as later groups are yielded, since callers
-that want one map usually stop inside the first group.
+unvisited.  Stab is built when the first group ends, at the next
+group's prefix, and the table as later groups are yielded, since callers
+that want one map usually stop inside the first group.  The table needs
+no entry for the first group: a lookup finds Q' = rows 0..k-1 only for
+Q = s(0..k-1), the prefix of the group that s was recorded from, and
+each prefix is placed once.
 
 The group search, ``_automorphism_group``, describes Aut(M), the
 preserving self-maps of one matrix, by generators instead of a list
@@ -280,17 +286,19 @@ def iter_bijections(
     # Maps are tuples, composed as itemgetter(*a)(g) == g o a: a composed
     # map has k < n, so n >= 2 entries, and the getter returns a tuple.
     # first: the maps of the first group (k < n only).  Built when it ends,
-    # at the next group's prefix: g0 and its inverse, Stab, and seen (each
-    # visited group's prefix Q -> one automorphism of M1 with prefix Q)
-    # with its identity entry.  autos (g0^-1 o h for each map h searched
-    # for, with the inverse the lookup reads) and the rest of seen grow as
-    # later groups are yielded.
+    # at the next group's prefix: g0 and its inverse, and Stab as its
+    # getters.  seen (each visited group's prefix Q -> one automorphism of
+    # M1 with prefix Q) and autos (g0^-1 o h for each map h searched for,
+    # with the inverse the lookup reads and h) grow as later groups are
+    # yielded; readers holds itemgetter(*seen[Q]) for each Q a lookup has
+    # found.
     first: list[tuple[int, ...]] = []
     g0: tuple[int, ...] = ()
     inverse0: tuple[int, ...] = ()
-    stab: list[tuple[int, ...]] = []
+    stab: list[itemgetter] = []
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    autos: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    readers: dict[tuple[int, ...], itemgetter] = {}
+    autos: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
     back = None
     while True:
         try:
@@ -304,25 +312,29 @@ def iter_bijections(
             if first and not stab:
                 g0 = first[0]
                 inverse0 = _inverse(g0)
-                stab = [itemgetter(*g)(inverse0) for g in first]
-                seen[tuple(range(k))] = tuple(range(n))
+                stab = [itemgetter(*itemgetter(*g)(inverse0)) for g in first]
             # The group is composed, with no search, if a known
             # automorphism s carries a visited prefix onto it, the one
             # s^-1(q) looked up in seen (one way only).
             if not autos:
                 continue
             q = tuple(map(inverse0.__getitem__, image[:k]))
-            for s, s_inv in autos:
-                beta = seen.get(tuple(map(s_inv.__getitem__, q)))
-                if beta is not None:
-                    beta = itemgetter(*beta)(s)
+            for s, s_inv, g0_s in autos:
+                key = tuple(map(s_inv.__getitem__, q))
+                if key in seen:
                     break
-            if beta is not None:
-                seen[q] = beta
-                h = itemgetter(*beta)(g0)
-                for a in stab:
-                    yield itemgetter(*a)(h)
-                back = k - 1
+            else:
+                continue
+            # s o seen[key] has prefix q, and the group is g0 o s o
+            # seen[key] o Stab.
+            read = readers.get(key)
+            if read is None:
+                read = readers[key] = itemgetter(*seen[key])
+            seen[q] = read(s)
+            h = read(g0_s)
+            for a in stab:
+                yield a(h)
+            back = k - 1
             continue
         h = tuple(image)
         if not stab:
@@ -333,10 +345,10 @@ def iter_bijections(
         # The first map h of a later group the search reached: yield
         # h o Stab and skip the rest of the group's subtree.
         for a in stab:
-            yield itemgetter(*a)(h)
+            yield a(h)
         alpha = itemgetter(*h)(inverse0)
         seen[alpha[:k]] = alpha
-        autos.append((alpha, _inverse(alpha)))
+        autos.append((alpha, _inverse(alpha), h))
         back = k - 1
 
 

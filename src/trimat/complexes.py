@@ -24,8 +24,9 @@ out once per complex, on first use, and kept on the instance: the edge
 index (from each edge to the triangles on it), the ``SurfaceReport`` of
 ``validate_closed_surface``, the intersection matrix
 (``intersection.intersection_matrix``), the index from vertex stars to
-vertices that ``intersection.extend_to_simplicial`` reads, and the plan of
-the vertex walk from the complex (``_walk_plan``).
+vertices and the star readers (one ``itemgetter`` over each vertex star,
+in label order) that ``intersection.extend_to_simplicial`` reads, and the
+plan of the vertex walk from the complex (``_walk_plan``).
 
 Validation walks the links before it looks at edges.  When every link is
 one cycle, each edge {v, u} lies in exactly the two triangles of v's star
@@ -50,6 +51,8 @@ from typing import TYPE_CHECKING, Generator, Iterable
 from .errors import ParseError, SurfaceError
 
 if TYPE_CHECKING:
+    from operator import itemgetter
+
     from .intersection import IntersectionMatrix
 
 __all__ = [
@@ -137,6 +140,7 @@ class Triangulation:
         "_report",
         "_matrix",
         "_vertex_of_star",
+        "_star_readers",
         "_walk_plan",
     )
 
@@ -168,6 +172,7 @@ class Triangulation:
         self._report: SurfaceReport | None = None
         self._matrix: IntersectionMatrix | None = None
         self._vertex_of_star: dict[frozenset[int], str] | None = None
+        self._star_readers: tuple[tuple[str, itemgetter], ...] | None = None
         self._walk_plan: tuple | None = None
 
     # -- basic accessors ---------------------------------------------------

@@ -370,19 +370,27 @@ def _extend(K: Triangulation, K2: Triangulation, image: tuple[int, ...]) -> Exte
     the stars of the three images of t's vertices, so f(t) = φ(t), and as
     f is onto, so is φ.  That is the certificate ``extend_to_simplicial``
     trusts.  The index from the stars of K2 to its vertices is built on
-    the first call for K2 and kept on it.  Each star is mapped through
-    ``itemgetter``, as ``permuted`` renumbers rows.
+    the first call for K2 and kept on it.  K's side is kept the same way,
+    on the first call for K: its star readers, one ``itemgetter`` over the
+    star of each vertex in label order, so each star is mapped through one
+    getter call, as ``permuted`` renumbers rows, and the first vertex that
+    fails is the lowest-labelled.
     """
     vertex_of = K2._vertex_of_star
     if vertex_of is None:
         vertex_of = K2._vertex_of_star = {
             frozenset(K2.triangles_at(y)): y for y in K2.vertices()
         }
-    vertex_map: dict[str, str] = {}
-    for x in K.vertices():
-        # A star on a closed surface holds at least 3 triangles, so the
+    readers = K._star_readers
+    if readers is None:
+        # A star on a closed surface holds at least 3 triangles, so each
         # getter returns a tuple.
-        y = vertex_of.get(frozenset(itemgetter(*K.triangles_at(x))(image)))
+        readers = K._star_readers = tuple(
+            (x, itemgetter(*K.triangles_at(x))) for x in K.vertices()
+        )
+    vertex_map: dict[str, str] = {}
+    for x, read in readers:
+        y = vertex_of.get(frozenset(read(image)))
         if y is None:
             return NonExtendable(witness_vertex=x)
         vertex_map[x] = y

@@ -1,9 +1,12 @@
 """Intersection matrices, preserving bijections, extension to vertex maps."""
 
+import functools
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimat import (
     Extended,
@@ -30,10 +33,10 @@ from trimat import (
     serialize_matrix,
     standard,
 )
-from trimat.catalog import _grid_torus
+from trimat.catalog import CLOSED_SURFACES, _grid_torus
 from trimat.verification import simplicial_automorphisms
 
-from inputs import matrix_by_definition, rebind, reindexed_relabelled, subdivide
+from inputs import matrix_by_definition, rebind, reindexed_relabelled, subdivide, subdivided
 
 # The swap self-map of tp10 exchanging the fan 5-cycle around x with the
 # band 5-cycle of the r-triangles: g(s_i) = r_(2i mod 5), g(r_i) = s_(2i mod 5).
@@ -402,6 +405,86 @@ class TestExtension:
             extend_to_simplicial(tetrahedron, octahedron, TriangleBijection.identity(4))
         with pytest.raises(MappingError):
             extend_to_simplicial(tetrahedron, tetrahedron, TriangleBijection.identity(5))
+
+
+def stars_by_definition(L):
+    """Each vertex of L with its star, the indices of the triangles that
+    hold it, in label order."""
+    return [
+        (x, frozenset(i for i, t in enumerate(L.triangles) if x in t.vertices))
+        for x in sorted(L.vertices())
+    ]
+
+
+def extension_by_definition(K, K2, f):
+    """x maps to the y with f(star x) = star y.  Where some x has no such
+    y: NonExtendable at the lowest-labelled one if f preserves every
+    intersection dimension, and None (a MappingError) if not."""
+    vertex_of = {star: y for y, star in stars_by_definition(K2)}
+    vertex_map = {}
+    for x, star in stars_by_definition(K):
+        y = vertex_of.get(frozenset(f(i) for i in star))
+        if y is None:
+            s, t = K.triangles, K2.triangles
+            preserving = all(
+                intersection_dim(s[i], s[j]) == intersection_dim(t[f(i)], t[f(j)])
+                for i in range(K.n)
+                for j in range(K.n)
+            )
+            return NonExtendable(witness_vertex=x) if preserving else None
+        vertex_map[x] = y
+    return Extended(vertex_map=vertex_map)
+
+
+@functools.cache
+def extension_base(name, times):
+    return subdivided(name, times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([(name, times) for name in CLOSED_SURFACES for times in (0, 1)]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_extension_matches_its_definition(case, seed, data):
+    # From a fresh copy of a corpus surface or its subdivision onto a
+    # reindexed, relabelled copy: preserving maps and random permutations
+    # get the answer of the definition.  K keeps its star readers and K2
+    # its star index, so after the first extension no star is read again.
+    base = extension_base(*case)
+    K, K2 = Triangulation(base.triangles), reindexed_relabelled(base, seed)
+    maps = data.draw(
+        st.lists(
+            st.sampled_from(
+                find_intersection_preserving_bijections(
+                    intersection_matrix(K), intersection_matrix(K2)
+                )
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    maps += data.draw(st.lists(st.permutations(range(K.n)).map(TriangleBijection), max_size=3))
+    expected = [extension_by_definition(K, K2, f) for f in maps]
+    read = []
+    real = Triangulation.triangles_at
+
+    def counting(L, v):
+        read.append(L)
+        return real(L, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Triangulation, "triangles_at", counting)
+        for i, (f, want) in enumerate(zip(maps, expected)):
+            if want is None:
+                with pytest.raises(MappingError):
+                    extend_to_simplicial(K, K2, f)
+            else:
+                assert extend_to_simplicial(K, K2, f) == want
+            if i == 0:
+                read.clear()
+    assert read == []
 
 
 def extension_or_none(K, K2, f):

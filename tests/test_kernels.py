@@ -4,6 +4,7 @@ brute-force reference."""
 import random
 import tracemalloc
 from itertools import groupby, permutations
+from operator import itemgetter
 
 import pytest
 
@@ -20,7 +21,7 @@ from trimat.catalog import CLOSED_SURFACES, _grid_torus
 from trimat.intersection import _extend
 from trimat.verification import simplicial_automorphisms
 
-from inputs import TORI, random_matrix, reindexed, reindexed_relabelled
+from inputs import TORI, random_matrix, rebind, reindexed, reindexed_relabelled
 
 
 def found(M, M2, limit=None):
@@ -165,6 +166,25 @@ class TestCosets:
             m2 = CountedRows(reindexed(M, seed).entries)
             maps = sum(1 for _ in iter_bijections(M, IntersectionMatrix._trusted(m2)))
             assert m2.reads < 0.75 * maps * M.n, seed
+
+    def test_composes_with_no_getter_per_map(self, monkeypatch):
+        # Stab is kept as getters, and a looked-up automorphism's getter is
+        # kept from its first lookup, so on T(6, 6) (432 maps, 2 in Stab)
+        # the kernel builds far fewer getters than it yields maps.  One
+        # built for every composed map, or two for every composed group,
+        # reads at least one per map.
+        K = _grid_torus(6, 6)
+        M, M2 = intersection_matrix(K), intersection_matrix(reindexed_relabelled(K, 6))
+        built = []
+
+        def counting(*items):
+            built.append(items)
+            return itemgetter(*items)
+
+        rebind(monkeypatch, itemgetter, counting)
+        maps = sum(1 for _ in iter_bijections(M, M2))
+        assert maps == 432
+        assert len(built) < maps / 2
 
 
 class TestOrbits:
